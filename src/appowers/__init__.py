@@ -7,7 +7,6 @@ from .counting import (CountReport, Progression, count_poly_in_ap,
 from .intkernel import (PrimeFactorization, divisor_count, divisor_pairs,
                         divisors, factorize, ikth_root_ceil, ikth_root_floor,
                         is_kth_power, is_prime)
-from .kernels import BACKEND
 from .modroots import ResidueSet, kth_roots_mod, kth_roots_mod_prime_power
 from .poly import Poly, difference_quotient, parse_poly, preimage_range
 from .search import (SearchRecord, extremal_search, rudin_count,
@@ -18,7 +17,6 @@ from .theorem import (SweepReport, Witness, bound_constant, extract_witness,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "CountReport",
     "Poly",
     "PrimeFactorization",

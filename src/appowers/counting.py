@@ -79,17 +79,17 @@ def _count_congruent(A: int, B: int, r: int, q: int) -> int:
     return (B - r) // q - (A - 1 - r) // q
 
 
-def _residue_stride_counts(k: int, prog: Progression) -> tuple[int, int]:
+def _residue_stride_counts(k: int, prog: Progression,
+                           segments: list[tuple[int, int]]) -> tuple[int, int]:
     """Counts via residue classes of t**k = a (mod q).
 
     The congruence alone is necessary but not sufficient; restricting each
-    class to the exact kth-root window of [lo, hi] is what pins the index i
-    into [1, N].
+    class to segments, the exact kth-root window of [lo, hi], is what pins
+    the index i into [1, N].
     """
     roots = kth_roots_mod(prog.a % prog.q, k, prog.q).residues
     if not roots:
         return 0, 0
-    segments = kth_power_t_window(k, prog.lo, prog.hi)
     ct = sum(_count_congruent(A, B, r, prog.q)
              for A, B in segments for r in roots)
     if k % 2 == 1:
@@ -101,17 +101,17 @@ def _residue_stride_counts(k: int, prog: Progression) -> tuple[int, int]:
     return ct, cv
 
 
-def _choose_algorithm(k: int, prog: Progression) -> str:
-    segments = kth_power_t_window(k, prog.lo, prog.hi)
+def _choose_algorithm(prog: Progression, segments: list[tuple[int, int]]) -> str:
     span = sum(B - A + 1 for A, B in segments)
     return "interval" if span <= max(64, prog.q) else "residue"
 
 
-def _power_solutions(k: int, prog: Progression) -> tuple[tuple[int, int], ...]:
-    """All (t, i) with t**k = a + i*q, sorted by t."""
+def _power_solutions(k: int, prog: Progression,
+                     segments: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """All (t, i) with t**k = a + i*q, sorted by t; segments is the t-window."""
     roots = kth_roots_mod(prog.a % prog.q, k, prog.q).residues
     out = []
-    for A, B in kth_power_t_window(k, prog.lo, prog.hi):
+    for A, B in segments:
         for r in roots:
             first = A + (r - A) % prog.q
             for t in range(first, B + 1, prog.q):
@@ -129,17 +129,18 @@ def count_powers_in_ap(k: int, prog: Progression, with_solutions: bool = False,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    segments = kth_power_t_window(k, prog.lo, prog.hi)
     if algorithm == "auto":
-        algorithm = _choose_algorithm(k, prog)
+        algorithm = _choose_algorithm(prog, segments)
     if algorithm == "interval":
-        ct, cv = kernels.interval_walk(k, prog.a, prog.q, prog.N)
+        ct, cv = kernels.interval_walk(k, prog.a, prog.q, segments)
     elif algorithm == "residue":
-        ct, cv = _residue_stride_counts(k, prog)
+        ct, cv = _residue_stride_counts(k, prog, segments)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     solutions = None
     if with_solutions:
-        solutions = _power_solutions(k, prog)
+        solutions = _power_solutions(k, prog, segments)
         if len(solutions) != ct:
             raise InternalInvariantError(
                 f"solution list length {len(solutions)} != count_t {ct} "
@@ -171,6 +172,8 @@ def enumerate_solutions(P: Poly, prog: Progression,
                         t_cap: int = DEFAULT_T_CAP) -> list[tuple[int, int]]:
     """Sorted list of all (t, i) with P(t) = a + i*q, i in [1, N]."""
     if P.is_monic_monomial:
-        return list(_power_solutions(P.degree, prog))
+        k = P.degree
+        segments = kth_power_t_window(k, prog.lo, prog.hi)
+        return list(_power_solutions(k, prog, segments))
     return list(count_poly_in_ap(P, prog, t_cap=t_cap,
                                  with_solutions=True).solutions or ())

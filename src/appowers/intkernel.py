@@ -1,9 +1,8 @@
 """Exact integer arithmetic: factorization, divisor machinery, integer roots,
 perfect-power tests.
 
-Every public function is pure, arbitrary precision at the boundary, and safe
-to call from any number of threads.  Fixed-width fast paths live in the
-optional compiled kernels, never here.
+Every public function is pure, arbitrary precision throughout, and safe to
+call from any number of threads.
 """
 from __future__ import annotations
 

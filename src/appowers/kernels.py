@@ -1,37 +1,33 @@
-"""Backend selection for the hot counting loops.
+"""The interval walk: one of the two independent monomial counting algorithms.
 
-The compiled extension is used when it imported successfully and every
-intermediate value provably fits in int64; otherwise the exact pure-Python
-twin runs.  ``BACKEND`` reports what was picked at import time.
+It visits every t of the exact kth-root window of the value interval and
+keeps those with t**k = a (mod q), in arbitrary precision.  Its cost is the
+width of the window, so ``counting`` picks it only for narrow windows and
+otherwise uses the residue stride; the tests cross-check the two.
 """
 from __future__ import annotations
 
-from . import _accel_py
 
-try:
-    from . import _accel  # type: ignore[attr-defined]
+def interval_walk(k: int, a: int, q: int,
+                  segments: list[tuple[int, int]]) -> tuple[int, int]:
+    """(count_t, count_values) for t**k among a+q, ..., a+N*q.
 
-    BACKEND = "compiled"
-except ImportError:  # extension not built; pure Python everywhere
-    _accel = None  # type: ignore[assignment]
-    BACKEND = "python"
-
-_INT64_SAFE = 1 << 62
-
-
-def _fits_int64(k: int, a: int, q: int, N: int) -> bool:
-    return k <= 64 and N < _INT64_SAFE and abs(a) + (N + 1) * q < _INT64_SAFE
-
-
-def scan_progression(k: int, a: int, q: int, N: int) -> tuple[int, int]:
-    """(count_t, count_values) for t**k among a+q, ..., a+N*q, by brute-force scan."""
-    if _accel is not None and _fits_int64(k, a, q, N):
-        return _accel.scan_progression(k, a, q, N)
-    return _accel_py.scan_progression(k, a, q, N)
-
-
-def interval_walk(k: int, a: int, q: int, N: int) -> tuple[int, int]:
-    """(count_t, count_values) by walking the kth-root window of the value interval."""
-    if _accel is not None and _fits_int64(k, a, q, N):
-        return _accel.interval_walk(k, a, q, N)
-    return _accel_py.interval_walk(k, a, q, N)
+    segments is kth_power_t_window(k, a+q, a+N*q), so every t walked already
+    has its value inside the interval and only the congruence is left.
+    """
+    ct = cv = 0
+    if k % 2 == 0:
+        # walk only t >= 0; -t mirrors every solution with the same value
+        if segments:
+            A, B = segments[-1]
+            for t in range(max(A, 0), B + 1):
+                if (t ** k - a) % q == 0:
+                    cv += 1
+                    ct += 2 if t > 0 else 1
+    else:
+        for A, B in segments:
+            for t in range(A, B + 1):
+                if (t ** k - a) % q == 0:
+                    ct += 1
+                    cv += 1
+    return ct, cv

@@ -10,13 +10,13 @@ from contextlib import contextmanager
 
 import pytest
 
-from appowers import kernels
 from appowers.counting import Progression, count_powers_in_ap
 from appowers.intkernel import divisor_count, ikth_root_ceil, ikth_root_floor
 from appowers.modroots import kth_roots_mod
 from appowers.poly import Poly
 from appowers.search import extremal_search, rudin_count
 from appowers.theorem import bound_constant, extract_witness, verify_bound_sweep
+from oracles import brute_report
 
 GRID_K = (2, 3, 4)
 GRID_Q = range(1, 201)
@@ -52,9 +52,10 @@ def grid_counts():
 def test_criterion_1_counting_oracle_equivalence(grid_counts):
     with criterion(1, "counting algorithms vs brute force"):
         for (k, q, a, N), rep in grid_counts.items():
-            interval = kernels.interval_walk(k, a, q, N)
-            brute = kernels.scan_progression(k, a, q, N)
-            assert (rep.count_t, rep.count_values) == interval == brute, \
+            prog = Progression(a, q, N)
+            interval = count_powers_in_ap(k, prog, algorithm="interval")
+            assert rep == interval, (k, q, a, N)
+            assert (rep.count_t, rep.count_values) == brute_report(k, prog), \
                 (k, q, a, N)
 
 

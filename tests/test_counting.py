@@ -2,25 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from appowers import _accel_py, kernels
 from appowers.counting import (CountReport, Progression, count_poly_in_ap,
                                count_powers_in_ap, enumerate_solutions)
-from appowers.intkernel import ikth_root_floor, is_kth_power
+from appowers.intkernel import ikth_root_floor
 from appowers.poly import Poly
+from oracles import brute_report
 
 ALGORITHMS = ("interval", "residue")
-
-
-def brute_report(k, prog):
-    """Per-term oracle, independent of both production algorithms."""
-    ct = cv = 0
-    for i in range(1, prog.N + 1):
-        v = prog.a + i * prog.q
-        if is_kth_power(v, k) is None:
-            continue
-        cv += 1
-        ct += 2 if k % 2 == 0 and v > 0 else 1
-    return ct, cv
 
 
 class TestProgression:
@@ -63,8 +51,12 @@ class TestCountPowers:
         with pytest.raises(ValueError):
             count_powers_in_ap(0, Progression(0, 1, 10))
 
+    def test_rejects_unknown_algorithm(self):
+        with pytest.raises(ValueError):
+            count_powers_in_ap(2, Progression(0, 1, 10), algorithm="scan")
+
     def test_huge_inputs_take_exact_path(self):
-        # far beyond int64: the pure big-int fallback must serve this
+        # far beyond int64: the count is exact in arbitrary precision
         prog = Progression(0, 1, 10 ** 40)
         rep = count_powers_in_ap(2, prog, algorithm="residue")
         assert rep.count_values == 10 ** 20
@@ -163,16 +155,13 @@ class TestCountPoly:
             count_poly_in_ap(Poly((3,)), Progression(0, 1, 10))
 
 
-class TestKernelBackends:
+class TestIntervalWalk:
     @given(st.integers(min_value=1, max_value=5),
            st.integers(min_value=1, max_value=50),
            st.integers(min_value=-120, max_value=120),
            st.integers(min_value=1, max_value=300))
     @settings(max_examples=250)
-    def test_backends_agree(self, k, q, a, N):
-        assert kernels.scan_progression(k, a, q, N) == \
-            _accel_py.scan_progression(k, a, q, N)
-        assert kernels.interval_walk(k, a, q, N) == \
-            _accel_py.interval_walk(k, a, q, N)
-        assert kernels.scan_progression(k, a, q, N) == \
-            kernels.interval_walk(k, a, q, N)
+    def test_matches_brute_force(self, k, q, a, N):
+        prog = Progression(a, q, N)
+        rep = count_powers_in_ap(k, prog, algorithm="interval")
+        assert (rep.count_t, rep.count_values) == brute_report(k, prog)
