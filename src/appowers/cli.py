@@ -11,7 +11,6 @@ import argparse
 import csv as _csv
 import io
 import json
-import os
 import sys
 import time
 
@@ -57,8 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default="json")
-        p.add_argument("--threads", type=int,
-                       default=max(1, os.cpu_count() or 1))
 
     p = sub.add_parser("count", help="count kth powers or polynomial values")
     p.add_argument("--k", type=_int)
@@ -148,8 +145,7 @@ def _run_roots(args) -> dict:
 def _run_verify(args) -> dict:
     collect = bool(args.csv) or args.format == "csv"
     report = verify_bound_sweep(args.k_set, args.q_max, args.N_set,
-                                a_mode=args.a_mode, threads=args.threads,
-                                collect_rows=collect)
+                                a_mode=args.a_mode, collect_rows=collect)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             w = _csv.writer(fh)
@@ -180,8 +176,7 @@ def _run_witness(args) -> dict:
 def _run_search(args) -> dict:
     if args.search_command == "extremal":
         rec = extremal_search(args.k, args.N, args.q_max,
-                              a_window=args.a_window, threads=args.threads,
-                              cell_budget=args.budget)
+                              a_window=args.a_window, cell_budget=args.budget)
         return rec.to_jsonable()
     rep = rudin_count(args.N, with_solutions=args.solutions)
     return _report_payload(rep)
@@ -233,10 +228,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # threads is a runtime knob, not an input: keeping it out of the echo
-    # makes output byte-identical across parallelism settings.
     params = {key: value for key, value in sorted(vars(args).items())
-              if key not in ("command", "search_command", "format", "threads")}
+              if key not in ("command", "search_command", "format")}
     if "poly" in params and params["poly"] is not None:
         params["poly"] = list(params["poly"].coeffs)
     for key in ("k_set", "N_set"):
@@ -248,7 +241,7 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     elapsed_ms = int((time.perf_counter() - start) * 1000)

@@ -1,8 +1,7 @@
 """Exact integer arithmetic: factorization, divisor machinery, integer roots,
 perfect-power tests.
 
-Every public function is pure, arbitrary precision throughout, and safe to
-call from any number of threads.
+Every public function is pure and arbitrary precision throughout.
 """
 from __future__ import annotations
 

@@ -8,7 +8,6 @@ a = r + s*q with s in [-a_window, a_window].
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .counting import CountReport, Progression, count_powers_in_ap
@@ -45,30 +44,14 @@ class SearchRecord:
         }
 
 
-def _search_task(k: int, N: int, q: int, a_window: int):
-    best = -1
-    cells: list[tuple[int, int]] = []
-    n = 0
-    for r in range(q):
-        for s in range(-a_window, a_window + 1):
-            a = r + s * q
-            cv = count_powers_in_ap(k, Progression(a, q, N)).count_values
-            n += 1
-            if cv > best:
-                best, cells = cv, [(q, a)]
-            elif cv == best:
-                cells.append((q, a))
-    return best, cells, n
-
-
 def extremal_search(k: int, N: int, q_max: int, a_window: int = 0,
                     threads: int = 1,
                     cell_budget: int = DEFAULT_CELL_BUDGET) -> SearchRecord:
     """Exhaustive maximum of count_values over the parametrized cell grid.
 
-    Reports every tying cell, sorted by (q, a); the result is independent of
-    the thread count.  Exceeds the cell budget -> CellBudgetError before any
-    evaluation.
+    Visits the cells serially and reports every tying cell, sorted by
+    (q, a).  Exceeds the cell budget -> CellBudgetError before any
+    evaluation.  ``threads`` is accepted and ignored.
     """
     if k < 2:
         raise ValueError(f"extremal search needs k >= 2, got {k}")
@@ -78,30 +61,21 @@ def extremal_search(k: int, N: int, q_max: int, a_window: int = 0,
     if total > cell_budget:
         raise CellBudgetError(
             f"search would evaluate {total} cells, budget is {cell_budget}")
-
-    def run(q):
-        return _search_task(k, N, q, a_window)
-
-    qs = range(1, q_max + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, qs))
-    else:
-        results = [run(q) for q in qs]
-
     best = -1
     cells: list[tuple[int, int]] = []
-    n = 0
-    for b, cs, cnt in results:  # fixed q order keeps the merge deterministic
-        n += cnt
-        if b > best:
-            best, cells = b, list(cs)
-        elif b == best:
-            cells.extend(cs)
+    for q in range(1, q_max + 1):
+        for r in range(q):
+            for s in range(-a_window, a_window + 1):
+                a = r + s * q
+                cv = count_powers_in_ap(k, Progression(a, q, N)).count_values
+                if cv > best:
+                    best, cells = cv, [(q, a)]
+                elif cv == best:
+                    cells.append((q, a))
     cells.sort()
     return SearchRecord(k=k, N=N, q_max=q_max, a_window=a_window,
                         best_count_values=best, best_cells=tuple(cells),
-                        cells_evaluated=n)
+                        cells_evaluated=total)
 
 
 def rudin_progression(N: int) -> Progression:

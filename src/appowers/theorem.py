@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import Progression, count_powers_in_ap
@@ -145,29 +144,25 @@ def _a_values(q: int, a_mode: str) -> range:
     raise ValueError(f"unknown a_mode {a_mode!r}")
 
 
-@dataclass
-class _TaskResult:
-    cells: int = 0
-    witness_pairs: int = 0
-    max_ratio: Fraction = Fraction(0)
-    max_ratio_cell: tuple | None = None
-    max_value_ratio: Fraction = Fraction(0)
-    max_value_ratio_cell: tuple | None = None
-    max_ratio_float: float = 0.0
-    max_value_ratio_float: float = 0.0
-    rows: list = field(default_factory=list)
+def _float_ratio(c: int, d: int, N: int, k: int) -> float:
+    """c / (d * N**(1/k)) as a float, through logarithms when N is past
+    float range (the direct form raises OverflowError there)."""
+    try:
+        return c / (d * N ** (1.0 / k))
+    except OverflowError:
+        return math.exp(math.log(c) - math.log(d) - math.log(N) / k) if c else 0.0
 
 
-def _sweep_task(k: int, q: int, a_mode: str, N_set: tuple[int, ...],
-                witness_pair_cap: int, collect_rows: bool) -> _TaskResult:
-    res = _TaskResult()
+def _sweep_task(report: SweepReport, k: int, q: int,
+                witness_pair_cap: int) -> None:
+    """Check the cells of one (k, q) pair, folding them into report."""
     dk = divisor_count(q) ** (k - 1)
     P = Poly.monomial(k)
-    for a in _a_values(q, a_mode):
-        for N in N_set:
+    for a in _a_values(q, report.a_mode):
+        for N in report.N_set:
             prog = Progression(a, q, N)
             rep = count_powers_in_ap(k, prog)
-            res.cells += 1
+            report.cells += 1
             root = ikth_root_ceil(N, k)
             bound = bound_constant(k) * dk * root
             if rep.count_t > bound:
@@ -176,24 +171,24 @@ def _sweep_task(k: int, q: int, a_mode: str, N_set: tuple[int, ...],
                     f"cell k={k}, q={q}, a={a}, N={N}")
             cell = (k, q, a, N)
             ratio = Fraction(rep.count_t, dk * root)
-            if ratio > res.max_ratio:
-                res.max_ratio, res.max_ratio_cell = ratio, cell
-            res.max_ratio_float = max(res.max_ratio_float,
-                                      rep.count_t / (dk * N ** (1.0 / k)))
+            if ratio > report.max_ratio:
+                report.max_ratio, report.max_ratio_cell = ratio, cell
+            report.max_ratio_float = max(report.max_ratio_float,
+                                         _float_ratio(rep.count_t, dk, N, k))
             vratio = Fraction(rep.count_values, root)
-            if vratio > res.max_value_ratio:
-                res.max_value_ratio, res.max_value_ratio_cell = vratio, cell
-            res.max_value_ratio_float = max(res.max_value_ratio_float,
-                                            rep.count_values / N ** (1.0 / k))
+            if vratio > report.max_value_ratio:
+                report.max_value_ratio, report.max_value_ratio_cell = vratio, cell
+            report.max_value_ratio_float = max(
+                report.max_value_ratio_float,
+                _float_ratio(rep.count_values, 1, N, k))
             if 2 <= rep.count_t <= witness_pair_cap:
                 sols = count_powers_in_ap(k, prog, with_solutions=True).solutions
                 for (t, _), (t0, _) in itertools.combinations(sols, 2):
                     extract_witness(P, prog, t, t0)
-                    res.witness_pairs += 1
-            if collect_rows:
-                res.rows.append((k, q, a, N, rep.count_t, rep.count_values,
-                                 bound, ratio.numerator, ratio.denominator))
-    return res
+                    report.witness_pairs += 1
+            if report.rows is not None:
+                report.rows.append((k, q, a, N, rep.count_t, rep.count_values,
+                                    bound, ratio.numerator, ratio.denominator))
 
 
 def verify_bound_sweep(k_set, q_max: int, N_set, a_mode: str = "window",
@@ -201,9 +196,9 @@ def verify_bound_sweep(k_set, q_max: int, N_set, a_mode: str = "window",
                        collect_rows: bool = False) -> SweepReport:
     """Check count_t <= theorem_bound on every cell of the grid.
 
-    Cells are independent; tasks are one (k, q) pair each and the reduction
-    is order-fixed, so the report is identical for any thread count.  A bound
-    violation or witness failure raises immediately.
+    Cells are visited serially in (k, q, a, N) order, so argmax ties go to
+    the lexicographically first cell.  A bound violation or witness failure
+    raises immediately.  ``threads`` is accepted and ignored.
     """
     k_set = tuple(sorted(set(int(k) for k in k_set)))
     N_set = tuple(sorted(set(int(N) for N in N_set)))
@@ -211,30 +206,7 @@ def verify_bound_sweep(k_set, q_max: int, N_set, a_mode: str = "window",
         raise ValueError("empty sweep grid")
     report = SweepReport(k_set=k_set, q_max=q_max, a_mode=a_mode, N_set=N_set,
                          rows=[] if collect_rows else None)
-    tasks = [(k, q) for k in k_set for q in range(1, q_max + 1)]
-
-    def run(task):
-        k, q = task
-        return _sweep_task(k, q, a_mode, N_set, witness_pair_cap, collect_rows)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-
-    for res in results:  # fixed task order keeps argmax ties lexicographic
-        report.cells += res.cells
-        report.witness_pairs += res.witness_pairs
-        if res.max_ratio_cell and res.max_ratio > report.max_ratio:
-            report.max_ratio = res.max_ratio
-            report.max_ratio_cell = res.max_ratio_cell
-        if res.max_value_ratio_cell and res.max_value_ratio > report.max_value_ratio:
-            report.max_value_ratio = res.max_value_ratio
-            report.max_value_ratio_cell = res.max_value_ratio_cell
-        report.max_ratio_float = max(report.max_ratio_float, res.max_ratio_float)
-        report.max_value_ratio_float = max(report.max_value_ratio_float,
-                                           res.max_value_ratio_float)
-        if collect_rows:
-            report.rows.extend(res.rows)
+    for k in k_set:
+        for q in range(1, q_max + 1):
+            _sweep_task(report, k, q, witness_pair_cap)
     return report

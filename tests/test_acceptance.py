@@ -10,6 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from appowers import intkernel, modroots
 from appowers.counting import Progression, count_powers_in_ap
 from appowers.intkernel import divisor_count, ikth_root_ceil, ikth_root_floor
 from appowers.modroots import kth_roots_mod
@@ -131,17 +132,19 @@ def test_criterion_7_scaling_symmetry(grid_counts):
                     (rep.count_t, rep.count_values), (k, q, a, N, m)
 
 
-def test_criterion_8_determinism_under_parallelism():
-    with criterion(8, "verify/search byte-identical at 1, 2, 8 threads"):
+def test_criterion_8_determinism_across_caches():
+    with criterion(8, "verify/search byte-identical across cold and warm caches"):
+        for cached in (intkernel.factorize, modroots._roots_mod_cached,
+                       modroots._power_map):
+            cached.cache_clear()
         sweeps = set()
         searches = set()
-        for threads in (1, 2, 8):
-            rep = verify_bound_sweep([2, 3], 30, [10, 100], threads=threads,
-                                     collect_rows=True)
+        for _ in range(3):  # the first run is cold, the next two warm
+            rep = verify_bound_sweep([2, 3], 30, [10, 100], collect_rows=True)
             payload = rep.to_jsonable()
             payload["rows"] = [list(r) for r in rep.rows]
             sweeps.add(json.dumps(payload, sort_keys=True))
-            rec = extremal_search(2, 60, 40, a_window=1, threads=threads)
+            rec = extremal_search(2, 60, 40, a_window=1)
             searches.add(json.dumps(rec.to_jsonable(), sort_keys=True))
         assert len(sweeps) == 1
         assert len(searches) == 1

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -114,6 +115,23 @@ class TestVerify:
         assert rows[0][0] == "k" and len(rows) == 1 + sum(2 * q + 1
                                                           for q in range(1, 4))
 
+    def test_N_past_float_range(self, capsys):
+        env = run_json(capsys, "verify", "--k-set", "1,2,3", "--q-max", "2",
+                       "--N-set", str(10 ** 400))
+        r = env["result"]
+        assert r["violations"] == 0 and r["cells"] == 3 * (3 + 5)
+        num, den = r["max_ratio"]
+        assert math.isclose(r["max_ratio_float"], num / den, rel_tol=1e-9)
+        num, den = r["max_value_ratio"]
+        assert math.isclose(r["max_value_ratio_float"], num / den, rel_tol=1e-9)
+
+    def test_unwritable_csv_exit_1(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "verify", "--k-set", "2", "--q-max",
+                                 "3", "--N-set", "10", "--csv",
+                                 str(tmp_path / "missing" / "cells.csv"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_empty_grid_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--k-set", "2", "--q-max", "0",
                              "--N-set", "10")
@@ -174,14 +192,18 @@ class TestFormatsAndDeterminism:
         rows = list(csv.reader(out.splitlines()))
         assert len(rows) == 2 and "result.modulus" in rows[0]
 
-    def test_thread_count_does_not_change_output(self, capsys):
-        outs = []
-        for threads in ("1", "2", "8"):
-            env = run_json(capsys, "verify", "--k-set", "2", "--q-max", "20",
-                           "--N-set", "10,100", "--threads", threads)
+    def test_subprocess_matches_in_process(self, capsys):
+        argv = ["verify", "--k-set", "2", "--q-max", "20", "--N-set", "10,100"]
+        proc = subprocess.run([sys.executable, "-m", "appowers.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        envs = [json.loads(proc.stdout)] + [run_json(capsys, *argv)
+                                            for _ in range(2)]
+        outs = set()
+        for env in envs:
             del env["elapsed_ms"]
-            outs.append(json.dumps(env, sort_keys=True))
-        assert outs[0] == outs[1] == outs[2]
+            outs.add(json.dumps(env, sort_keys=True))
+        assert len(outs) == 1
 
     def test_console_script(self):
         proc = subprocess.run(
