@@ -8,6 +8,7 @@ would be a bug in this package, not bad input).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv as _csv
 import io
 import json
@@ -144,10 +145,12 @@ def _run_roots(args) -> dict:
 
 def _run_verify(args) -> dict:
     collect = bool(args.csv) or args.format == "csv"
-    report = verify_bound_sweep(args.k_set, args.q_max, args.N_set,
-                                a_mode=args.a_mode, collect_rows=collect)
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
+    # Open the CSV before the sweep, so an unwritable path fails at once.
+    with (open(args.csv, "w", newline="") if args.csv
+          else contextlib.nullcontext()) as fh:
+        report = verify_bound_sweep(args.k_set, args.q_max, args.N_set,
+                                    a_mode=args.a_mode, collect_rows=collect)
+        if fh is not None:
             w = _csv.writer(fh)
             w.writerow(CSV_COLUMNS)
             w.writerows(report.rows)

@@ -8,7 +8,6 @@ bug, never a property of the input.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,6 +59,33 @@ class Witness:
     i0: int
 
 
+def _split(Q: tuple[int, ...], q: int, N: int, t: int, t0: int, i: int,
+           i0: int) -> tuple[int, int, int, int]:
+    """Check the certificate of one solution pair; return (q1, q2, n1, n2).
+
+    Q holds the coefficients of the difference quotient at t0, highest
+    first, and i, i0 are the indices of P(t), P(t0) in the progression.
+    """
+    if t == t0:
+        raise ValueError("witness extraction needs two distinct solutions")
+    q1 = math.gcd(q, abs(t - t0))
+    q2 = q // q1
+    n1 = abs(t - t0) // q1
+    Qt = 0
+    for c in Q:
+        Qt = Qt * t + c
+    if Qt % q2:
+        raise InternalInvariantError(
+            f"q2={q2} does not divide Q(t)={Qt} for t={t}, t0={t0}, "
+            f"q={q}, N={N}")
+    n2 = abs(Qt) // q2
+    if n1 * n2 != abs(i - i0) or abs(i - i0) > N - 1:
+        raise InternalInvariantError(
+            f"witness product check failed: n1={n1}, n2={n2}, "
+            f"i={i}, i0={i0}, N={N}")
+    return q1, q2, n1, n2
+
+
 def extract_witness(P: Poly, prog: Progression, t: int, t0: int) -> Witness:
     """Canonical witness with q1 = gcd(q, |t - t0|).
 
@@ -68,27 +94,34 @@ def extract_witness(P: Poly, prog: Progression, t: int, t0: int) -> Witness:
     a failure raises InternalInvariantError (it would falsify the
     implementation, not the input).
     """
-    if t == t0:
-        raise ValueError("witness extraction needs two distinct solutions")
     i = prog.index_of(P(t))
     i0 = prog.index_of(P(t0))
     if i is None or i0 is None:
         raise ValueError("both P(t) and P(t0) must lie in the progression")
-    q = prog.q
-    q1 = math.gcd(q, abs(t - t0))
-    q2 = q // q1
-    n1 = abs(t - t0) // q1
-    Q = difference_quotient(P, t0)
-    Qt = Q(t)
-    if Qt % q2:
-        raise InternalInvariantError(
-            f"q2={q2} does not divide Q(t)={Qt} for t={t}, t0={t0}, {prog}")
-    n2 = abs(Qt) // q2
-    if n1 * n2 != abs(i - i0) or abs(i - i0) > prog.N - 1:
-        raise InternalInvariantError(
-            f"witness product check failed: n1={n1}, n2={n2}, "
-            f"i={i}, i0={i0}, N={prog.N}")
+    Q = difference_quotient(P, t0).coeffs[::-1]
+    q1, q2, n1, n2 = _split(Q, prog.q, prog.N, t, t0, i, i0)
     return Witness(t=t, t0=t0, q1=q1, q2=q2, n1=n1, n2=n2, i=i, i0=i0)
+
+
+def _check_witnesses(P: Poly, prog: Progression,
+                     sols: tuple[tuple[int, int], ...]) -> int:
+    """Check every pair of one cell's sorted (t, i) solutions, exactly as
+    extract_witness would; return the number of pairs.
+
+    Each (t, i) is checked against P once and each difference quotient is
+    built once per t0; pairs run in itertools.combinations order, t the
+    earlier solution and t0 the later one.
+    """
+    for t, i in sols:
+        if prog.index_of(P(t)) != i:
+            raise InternalInvariantError(
+                f"P({t}) is not term {i} of {prog}")
+    Qs = [difference_quotient(P, t0).coeffs[::-1] for t0, _ in sols[1:]]
+    q, N = prog.q, prog.N
+    for j, (t, i) in enumerate(sols):
+        for Q, (t0, i0) in zip(Qs[j:], sols[j + 1:]):
+            _split(Q, q, N, t, t0, i, i0)
+    return math.comb(len(sols), 2)
 
 
 @dataclass
@@ -183,9 +216,7 @@ def _sweep_task(report: SweepReport, k: int, q: int,
                 _float_ratio(rep.count_values, 1, N, k))
             if 2 <= rep.count_t <= witness_pair_cap:
                 sols = count_powers_in_ap(k, prog, with_solutions=True).solutions
-                for (t, _), (t0, _) in itertools.combinations(sols, 2):
-                    extract_witness(P, prog, t, t0)
-                    report.witness_pairs += 1
+                report.witness_pairs += _check_witnesses(P, prog, sols)
             if report.rows is not None:
                 report.rows.append((k, q, a, N, rep.count_t, rep.count_values,
                                     bound, ratio.numerator, ratio.denominator))
@@ -198,7 +229,10 @@ def verify_bound_sweep(k_set, q_max: int, N_set, a_mode: str = "window",
 
     Cells are visited serially in (k, q, a, N) order, so argmax ties go to
     the lexicographically first cell.  A bound violation or witness failure
-    raises immediately.  ``threads`` is accepted and ignored.
+    raises immediately.  Every solution pair of a cell with
+    2 <= count_t <= ``witness_pair_cap`` gets its witness checked, so the cap
+    bounds count_t, not the number of pairs (up to C(cap, 2) per cell).
+    ``threads`` is accepted and ignored.
     """
     k_set = tuple(sorted(set(int(k) for k in k_set)))
     N_set = tuple(sorted(set(int(N) for N in N_set)))

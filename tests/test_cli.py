@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+from appowers import cli
 from appowers.cli import main
+from appowers.errors import InternalInvariantError
+from appowers.theorem import CSV_COLUMNS
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +134,30 @@ class TestVerify:
                                  str(tmp_path / "missing" / "cells.csv"))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_unwritable_csv_fails_before_sweep(self, capsys, monkeypatch,
+                                               tmp_path):
+        def sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the CSV path was opened")
+
+        monkeypatch.setattr(cli, "verify_bound_sweep", sweep)
+        code, out, err = run_cli(capsys, "verify", "--k-set", "2", "--q-max",
+                                 "3", "--N-set", "10", "--csv",
+                                 str(tmp_path / "missing" / "cells.csv"))
+        assert code == 1 and out == "" and err.startswith("error: ")
+
+    def test_failed_sweep_leaves_csv_without_rows(self, capsys, monkeypatch,
+                                                  tmp_path):
+        def sweep(*args, **kwargs):
+            raise InternalInvariantError("injected")
+
+        path = tmp_path / "cells.csv"
+        path.write_text("stale\n")
+        monkeypatch.setattr(cli, "verify_bound_sweep", sweep)
+        code, out, _ = run_cli(capsys, "verify", "--k-set", "2", "--q-max",
+                               "3", "--N-set", "10", "--csv", str(path))
+        assert code == 2 and out == ""
+        assert path.read_text() in ("", ",".join(CSV_COLUMNS) + "\r\n")
 
     def test_empty_grid_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--k-set", "2", "--q-max", "0",

@@ -1,13 +1,18 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from appowers.counting import Progression, count_powers_in_ap
+from appowers import theorem
+from appowers.cli import main
+from appowers.counting import CountReport, Progression, count_powers_in_ap
+from appowers.errors import InternalInvariantError
 from appowers.intkernel import divisor_count, ikth_root_ceil
 from appowers.poly import Poly, difference_quotient
-from appowers.theorem import (CSV_COLUMNS, bound_constant, extract_witness,
-                              theorem_bound, verify_bound_sweep)
+from appowers.theorem import (CSV_COLUMNS, _split, bound_constant,
+                              extract_witness, theorem_bound,
+                              verify_bound_sweep)
 
 
 class TestBound:
@@ -76,6 +81,25 @@ class TestWitness:
             assert w.n1 <= ikth_root_ceil(prog.N, 2) or \
                 w.n2 <= prog.N // max(w.n1, 1)
 
+    def test_split_matches_extract_witness(self):
+        # a = 1 - 500q centres the values on 0, so negative t appear for
+        # every k, not only for even k
+        pairs = negative = 0
+        for k in (2, 3, 4):
+            P = Poly.monomial(k)
+            for q in (1, 6, 24):
+                prog = Progression(1 - 500 * q, q, 1000)
+                sols = count_powers_in_ap(k, prog, with_solutions=True).solutions
+                for (t, i), (t0, i0) in itertools.combinations(sols, 2):
+                    w = extract_witness(P, prog, t, t0)
+                    Q = difference_quotient(P, t0).coeffs[::-1]
+                    assert _split(Q, q, prog.N, t, t0, i, i0) == \
+                        (w.q1, w.q2, w.n1, w.n2)
+                    assert (w.i, w.i0) == (i, i0)
+                    pairs += 1
+                    negative += t < 0
+        assert pairs > 0 and negative > 0
+
     def test_general_polynomial_witness(self):
         from appowers.counting import enumerate_solutions
         P = Poly((1, 0, 2))  # 2t^2 + 1
@@ -117,6 +141,48 @@ class TestSweep:
             assert Fraction(num, den) == Fraction(ct, divisor_count(q) ** (k - 1)
                                                   * ikth_root_ceil(N, k))
         assert len(CSV_COLUMNS) == len(rep.rows[0])
+        assert rep.witness_pairs == sum(math.comb(row[4], 2) for row in rep.rows
+                                        if 2 <= row[4] <= 64)
+
+    def test_one_difference_quotient_per_t0(self, monkeypatch):
+        calls = 0
+        real = theorem.difference_quotient
+
+        def counting(P, t0):
+            nonlocal calls
+            calls += 1
+            return real(P, t0)
+
+        monkeypatch.setattr(theorem, "difference_quotient", counting)
+        rep = verify_bound_sweep([2, 3], 10, [10, 100], collect_rows=True)
+        assert calls == sum(row[4] - 1 for row in rep.rows
+                            if 2 <= row[4] <= 64)
+        assert calls < rep.witness_pairs
+
+    @pytest.mark.parametrize("fault", [
+        lambda sols: sols[:-1] + ((sols[-1][0], sols[-1][1] + 1),),
+        lambda sols: sols[:-1] + ((sols[-1][0] + 1, sols[-1][1]),),
+        # every |i - i0| is unchanged, so only the membership check sees it
+        lambda sols: tuple((t, i + 1) for t, i in sols),
+    ], ids=["one_index_off_by_one", "not_a_solution", "every_index_shifted"])
+    def test_bad_solution_is_caught(self, monkeypatch, capsys, fault):
+        # (2, 24, -23, 5) has the solutions (t, i) = (-7, 3), (-5, 2),
+        # (-1, 1), (1, 1), (5, 2), (7, 3)
+        real = theorem.count_powers_in_ap
+
+        def spoiled(k, prog, with_solutions=False, **kwargs):
+            rep = real(k, prog, with_solutions=with_solutions, **kwargs)
+            if with_solutions and (k, prog) == (2, Progression(-23, 24, 5)):
+                rep = CountReport(rep.count_t, rep.count_values,
+                                  fault(rep.solutions))
+            return rep
+
+        monkeypatch.setattr(theorem, "count_powers_in_ap", spoiled)
+        with pytest.raises(InternalInvariantError):
+            verify_bound_sweep([2], 24, [5])
+        assert main(["verify", "--k-set", "2", "--q-max", "24",
+                     "--N-set", "5"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_residue_mode(self):
         rep = verify_bound_sweep([2], 12, [50], a_mode="residues")
