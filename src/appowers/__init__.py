@@ -3,7 +3,7 @@ progressions, with an explicit divisor-based upper bound, witness extraction,
 sweep verification, and bounded extremal search."""
 
 from .counting import (CountReport, Progression, count_poly_in_ap,
-                       count_powers_in_ap, enumerate_solutions)
+                       count_powers_in_ap)
 from .intkernel import (PrimeFactorization, divisor_count, divisor_pairs,
                         divisors, factorize, ikth_root_ceil, ikth_root_floor,
                         is_kth_power, is_prime)
@@ -32,7 +32,6 @@ __all__ = [
     "divisor_count",
     "divisor_pairs",
     "divisors",
-    "enumerate_solutions",
     "extract_witness",
     "extremal_search",
     "factorize",

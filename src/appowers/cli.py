@@ -16,11 +16,11 @@ import sys
 import time
 
 from .counting import (DEFAULT_T_CAP, CountReport, Progression,
-                       count_poly_in_ap, count_powers_in_ap)
+                       count_poly_in_ap)
 from .errors import InternalInvariantError
 from .modroots import kth_roots_mod
 from .poly import Poly, parse_poly
-from .search import extremal_search, rudin_count
+from .search import DEFAULT_CELL_BUDGET, extremal_search, rudin_count
 from .theorem import CSV_COLUMNS, extract_witness, verify_bound_sweep
 
 __all__ = ["main", "build_parser"]
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--N", type=_int, required=True)
     pe.add_argument("--q-max", type=_int, required=True)
     pe.add_argument("--a-window", type=_int, default=0)
-    pe.add_argument("--budget", type=_int, default=2_000_000)
+    pe.add_argument("--budget", type=_int, default=DEFAULT_CELL_BUDGET)
     add_common(pe)
     pr = ssub.add_parser("rudin")
     pr.add_argument("--N", type=_int, required=True)
@@ -127,14 +127,10 @@ def _report_payload(rep: CountReport) -> dict:
 
 
 def _run_count(args) -> dict:
-    prog = Progression(args.a, args.q, args.N)
-    P = _resolve_poly(args)
-    if P.is_monic_monomial:
-        rep = count_powers_in_ap(P.degree, prog, with_solutions=args.solutions,
-                                 algorithm=args.algorithm)
-    else:
-        rep = count_poly_in_ap(P, prog, t_cap=args.t_cap,
-                               with_solutions=args.solutions)
+    rep = count_poly_in_ap(_resolve_poly(args),
+                           Progression(args.a, args.q, args.N),
+                           t_cap=args.t_cap, with_solutions=args.solutions,
+                           algorithm=args.algorithm)
     return _report_payload(rep)
 
 

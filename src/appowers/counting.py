@@ -20,7 +20,6 @@ __all__ = [
     "CountReport",
     "count_powers_in_ap",
     "count_poly_in_ap",
-    "enumerate_solutions",
 ]
 
 DEFAULT_T_CAP = 10 ** 6
@@ -149,12 +148,21 @@ def count_powers_in_ap(k: int, prog: Progression, with_solutions: bool = False,
 
 
 def count_poly_in_ap(P: Poly, prog: Progression, t_cap: int = DEFAULT_T_CAP,
-                     with_solutions: bool = False) -> CountReport:
-    """Exact counts for a general integer polynomial P of degree >= 1."""
+                     with_solutions: bool = False,
+                     algorithm: str = "auto") -> CountReport:
+    """Exact counts for a general integer polynomial P of degree >= 1.
+
+    P = t**k goes to count_powers_in_ap with ``algorithm``; any other P is
+    counted by scanning its preimage window (at most ``t_cap`` wide), and
+    then ``algorithm`` must be "auto".  Solutions are sorted by t.
+    """
     if P.degree < 1:
         raise ValueError("count_poly_in_ap requires degree >= 1")
     if P.is_monic_monomial:
-        return count_powers_in_ap(P.degree, prog, with_solutions=with_solutions)
+        return count_powers_in_ap(P.degree, prog, with_solutions=with_solutions,
+                                  algorithm=algorithm)
+    if algorithm != "auto":
+        raise ValueError(f"algorithm {algorithm!r} applies only to P = t**k")
     sols = []
     values = set()
     for t in preimage_range(P, prog.lo, prog.hi, t_cap):
@@ -166,14 +174,3 @@ def count_poly_in_ap(P: Poly, prog: Progression, t_cap: int = DEFAULT_T_CAP,
         values.add(v)
     return CountReport(len(sols), len(values),
                        tuple(sols) if with_solutions else None)
-
-
-def enumerate_solutions(P: Poly, prog: Progression,
-                        t_cap: int = DEFAULT_T_CAP) -> list[tuple[int, int]]:
-    """Sorted list of all (t, i) with P(t) = a + i*q, i in [1, N]."""
-    if P.is_monic_monomial:
-        k = P.degree
-        segments = kth_power_t_window(k, prog.lo, prog.hi)
-        return list(_power_solutions(k, prog, segments))
-    return list(count_poly_in_ap(P, prog, t_cap=t_cap,
-                                 with_solutions=True).solutions or ())

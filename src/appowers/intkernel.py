@@ -19,8 +19,6 @@ __all__ = [
     "ikth_root_floor",
     "ikth_root_ceil",
     "is_kth_power",
-    "floor_root_signed",
-    "ceil_root_signed",
     "kth_power_t_window",
 ]
 
@@ -227,24 +225,6 @@ def is_kth_power(x: int, k: int) -> int | None:
     return r if r ** k == x else None
 
 
-def floor_root_signed(v: int, k: int) -> int:
-    """Largest integer t with t**k <= v; k must be odd for negative v."""
-    if v >= 0:
-        return ikth_root_floor(v, k)
-    if k % 2 == 0:
-        raise ValueError("no real kth root below a negative bound for even k")
-    return -ikth_root_ceil(-v, k)
-
-
-def ceil_root_signed(v: int, k: int) -> int:
-    """Smallest integer t with t**k >= v; k must be odd for negative v."""
-    if v >= 0:
-        return ikth_root_ceil(v, k)
-    if k % 2 == 0:
-        raise ValueError("no real kth root below a negative bound for even k")
-    return -ikth_root_floor(-v, k)
-
-
 def kth_power_t_window(k: int, lo: int, hi: int) -> list[tuple[int, int]]:
     """Closed intervals of t exactly covering {t : lo <= t**k <= hi}.
 
@@ -255,8 +235,8 @@ def kth_power_t_window(k: int, lo: int, hi: int) -> list[tuple[int, int]]:
     if lo > hi:
         raise ValueError(f"empty value interval [{lo}, {hi}]")
     if k % 2 == 1:
-        a = ceil_root_signed(lo, k)
-        b = floor_root_signed(hi, k)
+        a = ikth_root_ceil(lo, k) if lo >= 0 else -ikth_root_floor(-lo, k)
+        b = ikth_root_floor(hi, k) if hi >= 0 else -ikth_root_ceil(-hi, k)
         return [(a, b)] if a <= b else []
     if hi < 0:
         return []

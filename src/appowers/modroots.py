@@ -14,9 +14,10 @@ from .errors import PrimePowerCapError
 from .intkernel import factorize, is_prime
 
 __all__ = ["ResidueSet", "kth_roots_mod_prime_power", "kth_roots_mod",
-           "DEFAULT_PRIME_POWER_CAP"]
+           "PRIME_POWER_CAP"]
 
-DEFAULT_PRIME_POWER_CAP = 10 ** 7
+# Largest p**e whose roots are found; roots mod p are enumerated in O(p).
+PRIME_POWER_CAP = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,7 @@ def _power_map(k: int, p: int) -> dict[int, tuple[int, ...]]:
     return {a: tuple(xs) for a, xs in table.items()}
 
 
-def kth_roots_mod_prime_power(a: int, k: int, p: int, e: int,
-                              cap: int = DEFAULT_PRIME_POWER_CAP) -> ResidueSet:
+def kth_roots_mod_prime_power(a: int, k: int, p: int, e: int) -> ResidueSet:
     """All x in [0, p**e) with x**k = a (mod p**e).
 
     Roots mod p come from direct enumeration; each level of lifting applies
@@ -57,8 +57,9 @@ def kth_roots_mod_prime_power(a: int, k: int, p: int, e: int,
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     pe = p ** e
-    if pe > cap:
-        raise PrimePowerCapError(f"prime power {p}^{e} exceeds cap {cap}")
+    if pe > PRIME_POWER_CAP:
+        raise PrimePowerCapError(
+            f"prime power {p}^{e} exceeds cap {PRIME_POWER_CAP}")
     a %= pe
     roots = list(_power_map(k, p).get(a % p, ()))
     mod = p
@@ -95,24 +96,23 @@ def _crt_combine(r1: tuple[int, ...], m1: int,
 
 
 @lru_cache(maxsize=400_000)
-def _roots_mod_cached(a: int, k: int, m: int, cap: int) -> tuple[int, ...]:
+def _roots_mod_cached(a: int, k: int, m: int) -> tuple[int, ...]:
     if m == 1:
         return (0,)
     residues: tuple[int, ...] = (0,)
     mod = 1
     for p, e in factorize(m).factors:
-        part = kth_roots_mod_prime_power(a, k, p, e, cap=cap)
+        part = kth_roots_mod_prime_power(a, k, p, e)
         if not part.residues:
             return ()
         residues, mod = _crt_combine(residues, mod, part.residues, part.modulus)
     return residues
 
 
-def kth_roots_mod(a: int, k: int, m: int,
-                  cap: int = DEFAULT_PRIME_POWER_CAP) -> ResidueSet:
+def kth_roots_mod(a: int, k: int, m: int) -> ResidueSet:
     """All x in [0, m) with x**k = a (mod m); m = 1 yields {0}."""
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return ResidueSet(m, _roots_mod_cached(a % m, k, m, cap))
+    return ResidueSet(m, _roots_mod_cached(a % m, k, m))

@@ -24,7 +24,11 @@ __all__ = [
     "extract_witness",
     "SweepReport",
     "verify_bound_sweep",
+    "WITNESS_PAIR_CAP",
 ]
+
+# Sweeps witness only cells with 2 <= count_t <= this: C(64, 2) pairs at most.
+WITNESS_PAIR_CAP = 64
 
 
 def bound_constant(k: int) -> int:
@@ -186,8 +190,7 @@ def _float_ratio(c: int, d: int, N: int, k: int) -> float:
         return math.exp(math.log(c) - math.log(d) - math.log(N) / k) if c else 0.0
 
 
-def _sweep_task(report: SweepReport, k: int, q: int,
-                witness_pair_cap: int) -> None:
+def _sweep_task(report: SweepReport, k: int, q: int) -> None:
     """Check the cells of one (k, q) pair, folding them into report."""
     dk = divisor_count(q) ** (k - 1)
     P = Poly.monomial(k)
@@ -214,7 +217,7 @@ def _sweep_task(report: SweepReport, k: int, q: int,
             report.max_value_ratio_float = max(
                 report.max_value_ratio_float,
                 _float_ratio(rep.count_values, 1, N, k))
-            if 2 <= rep.count_t <= witness_pair_cap:
+            if 2 <= rep.count_t <= WITNESS_PAIR_CAP:
                 sols = count_powers_in_ap(k, prog, with_solutions=True).solutions
                 report.witness_pairs += _check_witnesses(P, prog, sols)
             if report.rows is not None:
@@ -223,15 +226,14 @@ def _sweep_task(report: SweepReport, k: int, q: int,
 
 
 def verify_bound_sweep(k_set, q_max: int, N_set, a_mode: str = "window",
-                       threads: int = 1, witness_pair_cap: int = 64,
+                       threads: int = 1,
                        collect_rows: bool = False) -> SweepReport:
     """Check count_t <= theorem_bound on every cell of the grid.
 
     Cells are visited serially in (k, q, a, N) order, so argmax ties go to
     the lexicographically first cell.  A bound violation or witness failure
     raises immediately.  Every solution pair of a cell with
-    2 <= count_t <= ``witness_pair_cap`` gets its witness checked, so the cap
-    bounds count_t, not the number of pairs (up to C(cap, 2) per cell).
+    2 <= count_t <= WITNESS_PAIR_CAP gets its witness checked.
     ``threads`` is accepted and ignored.
     """
     k_set = tuple(sorted(set(int(k) for k in k_set)))
@@ -242,5 +244,5 @@ def verify_bound_sweep(k_set, q_max: int, N_set, a_mode: str = "window",
                          rows=[] if collect_rows else None)
     for k in k_set:
         for q in range(1, q_max + 1):
-            _sweep_task(report, k, q, witness_pair_cap)
+            _sweep_task(report, k, q)
     return report

@@ -54,6 +54,9 @@ class TestCount:
         ("count", "--poly", "1,x", "--a", "1", "--q", "2", "--N", "5"),
         ("count", "--k", "1e3", "--a", "1", "--q", "2", "--N", "5"),
         ("count", "--a", "1", "--q", "2", "--N", "5"),  # neither --k nor --poly
+        # --algorithm picks a t**k algorithm, so it refuses any other P
+        ("count", "--poly", "1,0,2", "--a", "1", "--q", "2", "--N", "50",
+         "--algorithm", "residue"),
     ])
     def test_input_errors_exit_1(self, capsys, argv):
         code, _, _ = run_cli(capsys, *argv)

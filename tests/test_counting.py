@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from appowers.counting import (CountReport, Progression, count_poly_in_ap,
-                               count_powers_in_ap, enumerate_solutions)
+                               count_powers_in_ap)
 from appowers.intkernel import ikth_root_floor
 from appowers.poly import Poly
 from oracles import brute_report
@@ -110,14 +110,17 @@ class TestCountPowers:
 
 class TestSolutions:
     def test_rudin_cell_solutions(self):
-        got = enumerate_solutions(Poly.monomial(2), Progression(-23, 24, 5))
+        got = list(count_poly_in_ap(Poly.monomial(2), Progression(-23, 24, 5),
+                                    with_solutions=True).solutions)
         assert got == [(-7, 3), (-5, 2), (-1, 1), (1, 1), (5, 2), (7, 3)]
 
     def test_empty(self):
-        assert enumerate_solutions(Poly.monomial(2), Progression(2, 4, 100)) == []
+        assert list(count_poly_in_ap(Poly.monomial(2), Progression(2, 4, 100),
+                                     with_solutions=True).solutions) == []
 
     def test_linear(self):
-        got = enumerate_solutions(Poly((1, 2)), Progression(1, 2, 3))
+        got = list(count_poly_in_ap(Poly((1, 2)), Progression(1, 2, 3),
+                                    with_solutions=True).solutions)
         assert got == [(1, 1), (2, 2), (3, 3)]
 
     def test_solution_list_matches_count(self):
@@ -132,8 +135,11 @@ class TestSolutions:
 class TestCountPoly:
     def test_monomial_consistency(self):
         prog = Progression(-23, 24, 5)
-        assert count_poly_in_ap(Poly.monomial(2), prog) == \
-            count_powers_in_ap(2, prog)
+        for alg in ("interval", "residue", "auto"):
+            assert count_poly_in_ap(Poly.monomial(2), prog, algorithm=alg) == \
+                count_powers_in_ap(2, prog, algorithm=alg)
+        assert count_poly_in_ap(Poly.monomial(2), prog, with_solutions=True) == \
+            count_powers_in_ap(2, prog, with_solutions=True)
 
     def test_shifted_square(self):
         # 2t^2 + 1 among the odd numbers 3..101: t in +-[1, 7]

@@ -27,8 +27,12 @@ class TestPrimePower:
             kth_roots_mod_prime_power(1, 2, 15, 1)
 
     def test_cap(self):
-        with pytest.raises(PrimePowerCapError):
-            kth_roots_mod_prime_power(1, 2, 2, 40)
+        # 2^23 is the largest power of 2 under PRIME_POWER_CAP = 10^7
+        assert kth_roots_mod_prime_power(1, 2, 2, 23).residues == \
+            (1, 4194303, 4194305, 8388607)
+        for e in (24, 40):
+            with pytest.raises(PrimePowerCapError):
+                kth_roots_mod_prime_power(1, 2, 2, e)
 
     def test_singular_lifting_grid(self):
         # p | k and a = 0 mod p exercise the branching lift paths

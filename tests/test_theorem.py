@@ -6,7 +6,8 @@ import pytest
 
 from appowers import theorem
 from appowers.cli import main
-from appowers.counting import CountReport, Progression, count_powers_in_ap
+from appowers.counting import (CountReport, Progression, count_poly_in_ap,
+                               count_powers_in_ap)
 from appowers.errors import InternalInvariantError
 from appowers.intkernel import divisor_count, ikth_root_ceil
 from appowers.poly import Poly, difference_quotient
@@ -101,10 +102,9 @@ class TestWitness:
         assert pairs > 0 and negative > 0
 
     def test_general_polynomial_witness(self):
-        from appowers.counting import enumerate_solutions
         P = Poly((1, 0, 2))  # 2t^2 + 1
         prog = Progression(1, 2, 50)
-        pairs = enumerate_solutions(P, prog)
+        pairs = count_poly_in_ap(P, prog, with_solutions=True).solutions
         for (t, i), (t0, i0) in itertools.combinations(pairs, 2):
             w = extract_witness(P, prog, t, t0)
             assert w.n1 * w.n2 == abs(i - i0)
@@ -142,7 +142,7 @@ class TestSweep:
                                                   * ikth_root_ceil(N, k))
         assert len(CSV_COLUMNS) == len(rep.rows[0])
         assert rep.witness_pairs == sum(math.comb(row[4], 2) for row in rep.rows
-                                        if 2 <= row[4] <= 64)
+                                        if 2 <= row[4] <= theorem.WITNESS_PAIR_CAP)
 
     def test_one_difference_quotient_per_t0(self, monkeypatch):
         calls = 0
@@ -156,7 +156,7 @@ class TestSweep:
         monkeypatch.setattr(theorem, "difference_quotient", counting)
         rep = verify_bound_sweep([2, 3], 10, [10, 100], collect_rows=True)
         assert calls == sum(row[4] - 1 for row in rep.rows
-                            if 2 <= row[4] <= 64)
+                            if 2 <= row[4] <= theorem.WITNESS_PAIR_CAP)
         assert calls < rep.witness_pairs
 
     @pytest.mark.parametrize("fault", [
