@@ -153,8 +153,9 @@ def count_poly_in_ap(P: Poly, prog: Progression, t_cap: int = DEFAULT_T_CAP,
     """Exact counts for a general integer polynomial P of degree >= 1.
 
     P = t**k goes to count_powers_in_ap with ``algorithm``; any other P is
-    counted by scanning its preimage window (at most ``t_cap`` wide), and
-    then ``algorithm`` must be "auto".  Solutions are sorted by t.
+    counted by scanning preimage_range's window [-B, B], whose root bound B
+    must not exceed ``t_cap``; then ``algorithm`` must be "auto".  Solutions
+    are sorted by t.
     """
     if P.degree < 1:
         raise ValueError("count_poly_in_ap requires degree >= 1")

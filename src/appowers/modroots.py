@@ -80,7 +80,7 @@ def kth_roots_mod_prime_power(a: int, k: int, p: int, e: int) -> ResidueSet:
                         lifted.append(c)
         roots = sorted(set(lifted))
         mod = nxt
-    return ResidueSet(pe, tuple(sorted(set(r % pe for r in roots))))
+    return ResidueSet(pe, tuple(roots))
 
 
 def _crt_combine(r1: tuple[int, ...], m1: int,
@@ -97,8 +97,6 @@ def _crt_combine(r1: tuple[int, ...], m1: int,
 
 @lru_cache(maxsize=400_000)
 def _roots_mod_cached(a: int, k: int, m: int) -> tuple[int, ...]:
-    if m == 1:
-        return (0,)
     residues: tuple[int, ...] = (0,)
     mod = 1
     for p, e in factorize(m).factors:

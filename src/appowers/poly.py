@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import WindowCapError
-from .intkernel import kth_power_t_window
+from .intkernel import ikth_root_ceil
 
 __all__ = ["Poly", "parse_poly", "difference_quotient", "preimage_range"]
 
@@ -92,28 +92,30 @@ def difference_quotient(P: Poly, t0: int) -> Poly:
     return Poly(tuple(reversed(row[:-1])))
 
 
-def _cauchy_bound(coeffs: tuple[int, ...], shift: int) -> int:
-    """Integer B >= all |real roots| of the polynomial with c0 shifted by -shift.
+def _root_bound(coeffs: tuple[int, ...], shift: int) -> int:
+    """Integer B >= every |root| of the polynomial with c0 shifted by -shift.
 
-    B = 1 + ceil(max |c_i| / |c_lead|) over non-leading coefficients,
-    computed exactly.
+    B is the smaller of Cauchy's bound 1 + max |c_i / c_n| and Fujiwara's
+    2 * max |c_i / c_n|**(1/(n-i)), with c0 halved in Fujiwara's term; each
+    ratio and root is rounded up exactly, so B grows like |shift|**(1/n).
     """
     lead = abs(coeffs[-1])
-    top = 0
+    n = len(coeffs) - 1
+    top = fuji = 0
     for i, c in enumerate(coeffs[:-1]):
-        if i == 0:
-            c = c - shift
-        top = max(top, abs(c))
-    return 1 + -(-top // lead)
+        c, den = (abs(c - shift), 2 * lead) if i == 0 else (abs(c), lead)
+        top = max(top, c)
+        fuji = max(fuji, ikth_root_ceil(-(-c // den), n - i))
+    return min(1 + -(-top // lead), 2 * fuji)
 
 
 def preimage_range(P: Poly, lo: int, hi: int, t_cap: int) -> list[int]:
     """All integers t with P(t) in [lo, hi], sorted ascending.
 
-    The scan window [-B, B] uses the Cauchy root bound of both P - lo and
-    P - hi, so it provably contains every solution.  For P = t**k the window
-    comes from exact integer kth roots instead, which keeps huge value
-    intervals cheap.  Raises WindowCapError when the window exceeds t_cap.
+    The scan window [-B, B] uses the root bound of both P - lo and P - hi
+    (see _root_bound), so it provably contains every solution; B grows like
+    (max(|lo|, |hi|) / |c_n|)**(1/n).  Raises WindowCapError when B exceeds
+    t_cap.
     """
     if lo > hi:
         raise ValueError(f"empty value interval [{lo}, {hi}]")
@@ -121,13 +123,7 @@ def preimage_range(P: Poly, lo: int, hi: int, t_cap: int) -> list[int]:
         raise ValueError("preimage_range requires degree >= 1")
     if t_cap < 0:
         raise ValueError(f"t_cap must be >= 0, got {t_cap}")
-    if P.is_monic_monomial:
-        segments = kth_power_t_window(P.degree, lo, hi)
-        bound = max((max(abs(a), abs(b)) for a, b in segments), default=0)
-        if bound > t_cap:
-            raise WindowCapError(bound, t_cap)
-        return [t for a, b in segments for t in range(a, b + 1)]
-    bound = max(_cauchy_bound(P.coeffs, lo), _cauchy_bound(P.coeffs, hi))
+    bound = max(_root_bound(P.coeffs, lo), _root_bound(P.coeffs, hi))
     if bound > t_cap:
         raise WindowCapError(bound, t_cap)
     return [t for t in range(-bound, bound + 1) if lo <= P(t) <= hi]

@@ -57,7 +57,7 @@ def extremal_search(k: int, N: int, q_max: int, a_window: int = 0,
         raise ValueError(f"extremal search needs k >= 2, got {k}")
     if N < 1 or q_max < 1 or a_window < 0:
         raise ValueError("N, q_max must be >= 1 and a_window >= 0")
-    total = sum(q * (2 * a_window + 1) for q in range(1, q_max + 1))
+    total = (2 * a_window + 1) * (q_max * (q_max + 1) // 2)
     if total > cell_budget:
         raise CellBudgetError(
             f"search would evaluate {total} cells, budget is {cell_budget}")

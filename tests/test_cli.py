@@ -42,6 +42,11 @@ class TestCount:
                        "--q", "2", "--N", "50")
         assert env["result"]["count_t"] == 14
 
+    def test_poly_large_n(self, capsys):
+        env = run_json(capsys, "count", "--poly", "1,0,2", "--a", "1",
+                       "--q", "2", "--N", "10000000")
+        assert env["result"] == {"count_t": 6324, "count_values": 3162}
+
     def test_solutions(self, capsys):
         env = run_json(capsys, "count", "--k", "2", "--a", "-23",
                        "--q", "24", "--N", "5", "--solutions")
@@ -57,6 +62,9 @@ class TestCount:
         # --algorithm picks a t**k algorithm, so it refuses any other P
         ("count", "--poly", "1,0,2", "--a", "1", "--q", "2", "--N", "50",
          "--algorithm", "residue"),
+        # the root bound of 2t^2 + 1 - (2e7 + 1) is 4474 > --t-cap
+        ("count", "--poly", "1,0,2", "--a", "1", "--q", "2", "--N", "10000000",
+         "--t-cap", "1000"),
     ])
     def test_input_errors_exit_1(self, capsys, argv):
         code, _, _ = run_cli(capsys, *argv)
@@ -202,10 +210,11 @@ class TestSearch:
         assert env["result"]["best_count_values"] >= 3
 
     def test_budget_exit_1_no_partial_output(self, capsys):
-        code, out, _ = run_cli(capsys, "search", "extremal", "--k", "2",
-                               "--N", "5", "--q-max", "100000",
-                               "--budget", "100")
-        assert code == 1 and out == ""
+        for argv in (("--N", "5", "--q-max", "100000", "--budget", "100"),
+                     ("--N", "10", "--q-max", "1000000000000")):
+            code, out, _ = run_cli(capsys, "search", "extremal", "--k", "2",
+                                   *argv)
+            assert code == 1 and out == ""
 
 
 class TestFormatsAndDeterminism:

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from appowers.errors import WindowCapError
+from appowers.intkernel import kth_power_t_window
 from appowers.poly import Poly, difference_quotient, parse_poly, preimage_range
 
 small_polys = st.lists(st.integers(min_value=-100, max_value=100),
@@ -77,6 +78,13 @@ class TestPreimageRange:
             preimage_range(Poly((0, 1)), 0, 10 ** 9, 100)
         with pytest.raises(WindowCapError):
             preimage_range(Poly.monomial(2), 0, 10 ** 9, 100)
+        # 2t^2 + 1 in [3, 2e7 + 1] is 1 <= |t| <= 3162; the root bound of
+        # 2t^2 - 2e7 is 2 * ceil(sqrt(5e6)) = 4474 (Cauchy's is 1e7 + 1).
+        P, lo, hi = Poly((1, 0, 2)), 3, 2 * 10 ** 7 + 1
+        assert len(preimage_range(P, lo, hi, 4474)) == 6324
+        with pytest.raises(WindowCapError) as err:
+            preimage_range(P, lo, hi, 4473)
+        assert err.value.bound == 4474
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -95,3 +103,33 @@ class TestPreimageRange:
         got = preimage_range(P, lo, hi, 10 ** 4)
         want = [t for t in range(-10 ** 4, 10 ** 4 + 1) if lo <= P(t) <= hi]
         assert got == want
+
+    @given(small_polys, st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+           st.integers(min_value=-10 ** 6, max_value=10 ** 6))
+    @settings(max_examples=100, deadline=None)
+    def test_within_cauchy_window(self, coeffs, lo, hi):
+        """Complete over Cauchy's window 1 + max|c_i / c_n|, never wider."""
+        P = Poly(tuple(coeffs))
+        lo, hi = min(lo, hi), max(lo, hi)
+        lead = abs(P.coeffs[-1])
+        tops = [max(abs(P.coeffs[0] - s), *map(abs, P.coeffs[1:-1]), 0)
+                for s in (lo, hi)]
+        cauchy = 1 + -(-max(tops) // lead)
+        try:
+            got = preimage_range(P, lo, hi, 10 ** 4)
+        except WindowCapError as err:
+            assert err.bound <= cauchy
+            return
+        assert got == [t for t in range(-cauchy, cauchy + 1)
+                       if lo <= P(t) <= hi]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("lo,hi", [
+        (0, 0), (0, 10 ** 5), (5, 10 ** 5), (10 ** 4, 10 ** 4 + 50),
+        (-10 ** 5, 10 ** 5), (-10 ** 5, -5), (-30, 40),
+    ])
+    def test_monomial_matches_exact_window(self, k, lo, hi):
+        """t**k gets the same answer as from its exact kth-root window."""
+        want = [t for a, b in kth_power_t_window(k, lo, hi)
+                for t in range(a, b + 1)]
+        assert preimage_range(Poly.monomial(k), lo, hi, 10 ** 7) == want

@@ -77,6 +77,9 @@ class TestExtremalSearch:
     def test_budget(self):
         with pytest.raises(CellBudgetError):
             extremal_search(2, 10, 10 ** 5, cell_budget=1000)
+        with pytest.raises(CellBudgetError,
+                           match=" 500000000000500000000000 cells,"):
+            extremal_search(2, 10, 10 ** 12)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
