@@ -4,13 +4,12 @@ sweep verification, and bounded extremal search."""
 
 from .counting import (CountReport, Progression, count_poly_in_ap,
                        count_powers_in_ap)
-from .intkernel import (PrimeFactorization, divisor_count, divisor_pairs,
-                        divisors, factorize, ikth_root_ceil, ikth_root_floor,
-                        is_kth_power, is_prime)
+from .intkernel import (divisor_count, factorize, ikth_root_ceil,
+                        ikth_root_floor, is_prime)
 from .modroots import ResidueSet, kth_roots_mod, kth_roots_mod_prime_power
 from .poly import Poly, difference_quotient, parse_poly, preimage_range
 from .search import (SearchRecord, extremal_search, rudin_count,
-                     rudin_progression, rudin_vs_trivial)
+                     rudin_progression)
 from .theorem import (SweepReport, Witness, bound_constant, extract_witness,
                       theorem_bound, verify_bound_sweep)
 
@@ -19,7 +18,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CountReport",
     "Poly",
-    "PrimeFactorization",
     "Progression",
     "ResidueSet",
     "SearchRecord",
@@ -30,14 +28,11 @@ __all__ = [
     "count_powers_in_ap",
     "difference_quotient",
     "divisor_count",
-    "divisor_pairs",
-    "divisors",
     "extract_witness",
     "extremal_search",
     "factorize",
     "ikth_root_ceil",
     "ikth_root_floor",
-    "is_kth_power",
     "is_prime",
     "kth_roots_mod",
     "kth_roots_mod_prime_power",
@@ -45,7 +40,6 @@ __all__ = [
     "preimage_range",
     "rudin_count",
     "rudin_progression",
-    "rudin_vs_trivial",
     "theorem_bound",
     "verify_bound_sweep",
 ]

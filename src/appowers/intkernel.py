@@ -1,24 +1,19 @@
-"""Exact integer arithmetic: factorization, divisor machinery, integer roots,
-perfect-power tests.
+"""Exact integer arithmetic: factorization, divisor counts, integer roots and
+the kth-power t-window.
 
 Every public function is pure and arbitrary precision throughout.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
-    "PrimeFactorization",
     "is_prime",
     "factorize",
-    "divisors",
     "divisor_count",
-    "divisor_pairs",
     "ikth_root_floor",
     "ikth_root_ceil",
-    "is_kth_power",
     "kth_power_t_window",
 ]
 
@@ -58,22 +53,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class PrimeFactorization:
-    """Multiset of (prime, exponent) pairs with primes strictly increasing.
-
-    The integer 1 is represented by the empty tuple.
-    """
-
-    factors: tuple[tuple[int, int], ...]
-
-    def reconstruct(self) -> int:
-        n = 1
-        for p, e in self.factors:
-            n *= p ** e
-        return n
 
 
 def _brent_rho(n: int) -> int:
@@ -122,8 +101,8 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
 
 
 @lru_cache(maxsize=1 << 16)
-def factorize(n: int) -> PrimeFactorization:
-    """Factor n >= 1 into primes.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Factor n >= 1 into (prime, exponent) pairs, primes increasing; () for 1.
 
     Trial division up to 10^6, then Brent-rho with Miller-Rabin on the
     remaining cofactor, so a CLI call with a large step never silently fails.
@@ -146,31 +125,15 @@ def factorize(n: int) -> PrimeFactorization:
             out[m] = out.get(m, 0) + 1
         else:
             _factor_into(m, out)
-    return PrimeFactorization(tuple(sorted(out.items())))
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, sorted ascending."""
-    fac = factorize(n)
-    ds = [1]
-    for p, e in fac.factors:
-        ds = [d * p ** j for d in ds for j in range(e + 1)]
-    ds.sort()
-    return ds
+    return tuple(sorted(out.items()))
 
 
 def divisor_count(n: int) -> int:
     """d(n), the number of positive divisors."""
-    fac = factorize(n)
     out = 1
-    for _, e in fac.factors:
+    for _, e in factorize(n):
         out *= e + 1
     return out
-
-
-def divisor_pairs(q: int) -> list[tuple[int, int]]:
-    """All ordered pairs (q1, q2) with q1*q2 = q, q1 ascending over divisors."""
-    return [(d, q // d) for d in divisors(q)]
 
 
 def ikth_root_floor(x: int, k: int) -> int:
@@ -206,23 +169,6 @@ def ikth_root_ceil(x: int, k: int) -> int:
     """Smallest r >= 0 with r**k >= x (x >= 0)."""
     r = ikth_root_floor(x, k)
     return r if r ** k == x else r + 1
-
-
-def is_kth_power(x: int, k: int) -> int | None:
-    """Return the kth root of x when x is a perfect kth power, else None.
-
-    Nonnegative root for x >= 0; the negative root for x < 0 and odd k;
-    None for x < 0 and even k.
-    """
-    if k < 1:
-        raise ValueError(f"is_kth_power requires k >= 1, got {k}")
-    if x < 0:
-        if k % 2 == 0:
-            return None
-        r = ikth_root_floor(-x, k)
-        return -r if r ** k == -x else None
-    r = ikth_root_floor(x, k)
-    return r if r ** k == x else None
 
 
 def kth_power_t_window(k: int, lo: int, hi: int) -> list[tuple[int, int]]:

@@ -27,12 +27,6 @@ class ResidueSet:
     modulus: int
     residues: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.residues)
-
-    def __contains__(self, x: int) -> bool:
-        return x % self.modulus in self.residues
-
 
 @lru_cache(maxsize=4096)
 def _power_map(k: int, p: int) -> dict[int, tuple[int, ...]]:
@@ -99,7 +93,7 @@ def _crt_combine(r1: tuple[int, ...], m1: int,
 def _roots_mod_cached(a: int, k: int, m: int) -> tuple[int, ...]:
     residues: tuple[int, ...] = (0,)
     mod = 1
-    for p, e in factorize(m).factors:
+    for p, e in factorize(m):
         part = kth_roots_mod_prime_power(a, k, p, e)
         if not part.residues:
             return ()

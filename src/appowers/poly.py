@@ -49,21 +49,6 @@ class Poly:
             v = v * t + c
         return v
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*t" if c != 1 else "t")
-            else:
-                parts.append(f"{c}*t^{i}" if c != 1 else f"t^{i}")
-        return " + ".join(reversed(parts))
-
 
 def parse_poly(text: str) -> Poly:
     """Parse the CLI coefficient format "c0,c1,...,ck" (lowest degree first)."""

@@ -7,14 +7,13 @@ a = r + s*q with s in [-a_window, a_window].
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .counting import CountReport, Progression, count_powers_in_ap
 from .errors import CellBudgetError
 
 __all__ = ["SearchRecord", "extremal_search", "rudin_count",
-           "rudin_progression", "rudin_vs_trivial"]
+           "rudin_progression"]
 
 RUDIN_STEP = 24
 DEFAULT_CELL_BUDGET = 2_000_000
@@ -93,9 +92,3 @@ def rudin_count(N: int, with_solutions: bool = False) -> CountReport:
                               with_solutions=with_solutions,
                               algorithm="residue")
 
-
-def rudin_vs_trivial(N: int) -> tuple[int, int, float]:
-    """(squares in {24n+1}, squares in {1..N} = floor(sqrt(N)), their ratio)."""
-    r = rudin_count(N).count_values
-    trivial = math.isqrt(N)
-    return r, trivial, r / trivial

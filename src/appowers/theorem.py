@@ -13,9 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import Progression, count_powers_in_ap
-from .errors import BoundViolationError, InternalInvariantError
+from .errors import (BoundViolationError, CellBudgetError,
+                     InternalInvariantError)
 from .intkernel import divisor_count, ikth_root_ceil
 from .poly import Poly, difference_quotient
+from .search import DEFAULT_CELL_BUDGET
 
 __all__ = [
     "Witness",
@@ -174,11 +176,7 @@ CSV_COLUMNS = ("k", "q", "a", "N", "count_t", "count_values", "bound",
 
 
 def _a_values(q: int, a_mode: str) -> range:
-    if a_mode == "window":
-        return range(-q, q + 1)
-    if a_mode == "residues":
-        return range(q)
-    raise ValueError(f"unknown a_mode {a_mode!r}")
+    return range(-q, q + 1) if a_mode == "window" else range(q)
 
 
 def _float_ratio(c: int, d: int, N: int, k: int) -> float:
@@ -231,15 +229,26 @@ def verify_bound_sweep(k_set, q_max: int, N_set, a_mode: str = "window",
     """Check count_t <= theorem_bound on every cell of the grid.
 
     Cells are visited serially in (k, q, a, N) order, so argmax ties go to
-    the lexicographically first cell.  A bound violation or witness failure
-    raises immediately.  Every solution pair of a cell with
-    2 <= count_t <= WITNESS_PAIR_CAP gets its witness checked.
-    ``threads`` is accepted and ignored.
+    the lexicographically first cell.  A grid of more than
+    search.DEFAULT_CELL_BUDGET cells raises CellBudgetError before any cell
+    runs; a bound violation or witness failure raises immediately.  Every
+    solution pair of a cell with 2 <= count_t <= WITNESS_PAIR_CAP gets its
+    witness checked.  ``threads`` is accepted and ignored.
     """
     k_set = tuple(sorted(set(int(k) for k in k_set)))
     N_set = tuple(sorted(set(int(N) for N in N_set)))
     if not k_set or not N_set or q_max < 1:
         raise ValueError("empty sweep grid")
+    if a_mode == "window":  # sum of 2q + 1 over q <= q_max
+        per_k_N = q_max * (q_max + 2)
+    elif a_mode == "residues":
+        per_k_N = q_max * (q_max + 1) // 2
+    else:
+        raise ValueError(f"unknown a_mode {a_mode!r}")
+    total = len(k_set) * len(N_set) * per_k_N
+    if total > DEFAULT_CELL_BUDGET:
+        raise CellBudgetError(f"sweep would evaluate {total} cells, "
+                              f"budget is {DEFAULT_CELL_BUDGET}")
     report = SweepReport(k_set=k_set, q_max=q_max, a_mode=a_mode, N_set=N_set,
                          rows=[] if collect_rows else None)
     for k in k_set:

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -171,9 +172,13 @@ class TestVerify:
         assert path.read_text() in ("", ",".join(CSV_COLUMNS) + "\r\n")
 
     def test_empty_grid_exit_1(self, capsys):
-        code, _, _ = run_cli(capsys, "verify", "--k-set", "2", "--q-max", "0",
-                             "--N-set", "10")
-        assert code == 1
+        # an empty grid, and one over the cell budget, refused before any cell
+        for q_max in ("0", "1000000000"):
+            start = time.perf_counter()
+            code, out, _ = run_cli(capsys, "verify", "--k-set", "2",
+                                   "--q-max", q_max, "--N-set", "10")
+            assert time.perf_counter() - start < 1.0
+            assert code == 1 and out == ""
 
 
 class TestWitness:

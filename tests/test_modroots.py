@@ -86,7 +86,7 @@ class TestCompositeModulus:
             assert math.gcd(m1, m2) == 1
             for k in (2, 3, 4):
                 for a in range(0, m1 * m2, 7):
-                    n = len(kth_roots_mod(a, k, m1 * m2))
-                    n1 = len(kth_roots_mod(a, k, m1))
-                    n2 = len(kth_roots_mod(a, k, m2))
+                    n = len(kth_roots_mod(a, k, m1 * m2).residues)
+                    n1 = len(kth_roots_mod(a, k, m1).residues)
+                    n2 = len(kth_roots_mod(a, k, m2).residues)
                     assert n == n1 * n2, (a, k, m1, m2)

@@ -4,8 +4,7 @@ import pytest
 
 from appowers.counting import Progression, count_powers_in_ap
 from appowers.errors import CellBudgetError
-from appowers.search import (extremal_search, rudin_count, rudin_progression,
-                             rudin_vs_trivial)
+from appowers.search import extremal_search, rudin_count, rudin_progression
 
 
 def rudin_oracle(N):
@@ -32,14 +31,6 @@ class TestRudin:
         for N in range(1, 10_001):
             cv = rudin_count(N).count_values
             assert cv >= math.isqrt(N) - 1, N
-
-    @pytest.mark.parametrize("N,want", [
-        (5, (3, 2, 1.5)),
-        (1, (1, 1, 1.0)),
-        (10 ** 6, (1633, 1000, 1.633)),
-    ])
-    def test_vs_trivial(self, N, want):
-        assert rudin_vs_trivial(N) == want
 
 
 class TestExtremalSearch:

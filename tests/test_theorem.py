@@ -8,7 +8,7 @@ from appowers import theorem
 from appowers.cli import main
 from appowers.counting import (CountReport, Progression, count_poly_in_ap,
                                count_powers_in_ap)
-from appowers.errors import InternalInvariantError
+from appowers.errors import CellBudgetError, InternalInvariantError
 from appowers.intkernel import divisor_count, ikth_root_ceil
 from appowers.poly import Poly, difference_quotient
 from appowers.theorem import (CSV_COLUMNS, _split, bound_constant,
@@ -133,16 +133,21 @@ class TestSweep:
         assert bound == theorem_bound(2, 24, 5)
 
     def test_rows_match_grid(self):
-        rep = verify_bound_sweep([2, 3], 10, [10, 100], collect_rows=True)
-        assert len(rep.rows) == rep.cells == 2 * 2 * sum(2 * q + 1 for q in range(1, 11))
-        for k, q, a, N, ct, cv, bound, num, den in rep.rows:
-            assert ct <= bound
-            assert cv <= ct
-            assert Fraction(num, den) == Fraction(ct, divisor_count(q) ** (k - 1)
-                                                  * ikth_root_ceil(N, k))
-        assert len(CSV_COLUMNS) == len(rep.rows[0])
-        assert rep.witness_pairs == sum(math.comb(row[4], 2) for row in rep.rows
-                                        if 2 <= row[4] <= theorem.WITNESS_PAIR_CAP)
+        # the closed forms the cell budget is checked against
+        for a_mode, per_k_N in (("window", 10 * 12), ("residues", 10 * 11 // 2)):
+            rep = verify_bound_sweep([2, 3], 10, [10, 100], a_mode=a_mode,
+                                     collect_rows=True)
+            assert len(rep.rows) == rep.cells == 2 * 2 * per_k_N
+            for k, q, a, N, ct, cv, bound, num, den in rep.rows:
+                assert bound == theorem_bound(k, q, N)
+                assert ct <= bound
+                assert cv <= ct
+                assert Fraction(num, den) == Fraction(
+                    ct, divisor_count(q) ** (k - 1) * ikth_root_ceil(N, k))
+            assert len(CSV_COLUMNS) == len(rep.rows[0])
+            assert rep.witness_pairs == sum(
+                math.comb(row[4], 2) for row in rep.rows
+                if 2 <= row[4] <= theorem.WITNESS_PAIR_CAP)
 
     def test_one_difference_quotient_per_t0(self, monkeypatch):
         calls = 0
@@ -187,6 +192,22 @@ class TestSweep:
     def test_residue_mode(self):
         rep = verify_bound_sweep([2], 12, [50], a_mode="residues")
         assert rep.cells == sum(range(1, 13))
+
+    def test_budget(self, monkeypatch):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran before the budget check")
+
+        monkeypatch.setattr(theorem, "count_powers_in_ap", no_cell)
+        # 1414 * 1416 = 2,002,224 cells, just over the budget of 2,000,000
+        with pytest.raises(CellBudgetError, match=" 2002224 cells,"):
+            verify_bound_sweep([2], 1414, [10])
+        with pytest.raises(CellBudgetError,
+                           match=" 1000000002000000000 cells,"):
+            verify_bound_sweep([2], 10 ** 9, [10])
+        with pytest.raises(CellBudgetError, match=" 2000000002000000000 cells,"):
+            verify_bound_sweep([2, 3], 10 ** 9, [10, 100], a_mode="residues")
+        with pytest.raises(ValueError, match="unknown a_mode"):
+            verify_bound_sweep([2], 10 ** 9, [10], a_mode="cells")
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
