@@ -3,16 +3,18 @@
 Two independent algorithms back the monomial count: an interval walk over the
 kth-root window of the value interval, and residue-stride counting that solves
 t**k = a (mod q) and counts lattice points per residue class arithmetically.
-They cross-check each other in the test suite.
+They cross-check each other in the test suite.  ``auto`` picks between them by
+an estimate of each one's cost in walked t.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from . import kernels
-from .errors import InternalInvariantError
+from . import intkernel, kernels
+from .errors import CellBudgetError, InternalInvariantError
 from .intkernel import kth_power_t_window
-from .modroots import kth_roots_mod
+from .modroots import PRIME_POWER_CAP, kth_roots_mod
 from .poly import Poly, preimage_range
 
 __all__ = [
@@ -23,6 +25,10 @@ __all__ = [
 ]
 
 DEFAULT_T_CAP = 10 ** 6
+# Longest interval walk, in values of t visited; about 1-2 s of walking.
+WALK_BUDGET = 10 ** 7
+# Largest count_t whose solution list is built.
+SOLUTION_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -100,9 +106,71 @@ def _residue_stride_counts(k: int, prog: Progression,
     return ct, cv
 
 
-def _choose_algorithm(prog: Progression, segments: list[tuple[int, int]]) -> str:
+def _walk_length(k: int, segments: list[tuple[int, int]]) -> int:
+    """Values of t that kernels.interval_walk visits: t >= 0 only for even k."""
+    if k % 2 == 1:
+        return sum(B - A + 1 for A, B in segments)
+    if not segments:
+        return 0
+    A, B = segments[-1]
+    return B - max(A, 0) + 1
+
+
+def _root_bound(k: int, a: int, p: int, e: int) -> int:
+    """An upper bound on the number of x mod p**e with x**k = a."""
+    v = 0  # min(v_p(a), e)
+    while v < e and a % p ** (v + 1) == 0:
+        v += 1
+    if v == e:  # x**k = 0 (mod p**e) iff p**ceil(e/k) divides x
+        return p ** (e + (-e // k))
+    if v % k:
+        return 0
+    # x = p**(v/k) * y with y a unit, y**k fixed mod p**(e-v): at most
+    # gcd(k, phi(p**(e-v))) classes (twice that for p = 2), each of which
+    # leaves the last v - v/k digits of y free.
+    m = p ** (e - v)
+    return math.gcd(k, m - m // p) * (2 if p == 2 else 1) * p ** (v - v // k)
+
+
+def _residue_cost(k: int, a: int, q: int, n_segments: int) -> int | None:
+    """The residue stride's cost in walked t, or None if it would refuse.
+
+    Building _power_map(k, p) for a prime p not dividing a costs 2.4-3.3
+    walked t per entry, and the map then stays in an LRU cache; such a prime
+    is charged 4*p*e*k, above the build time alone, so that large maps stay
+    out of memory.  A prime dividing a costs p**e for the branching lifts.
+    Each root is then counted once per segment.
+    """
+    cost, roots = 0, 1
+    for p, e in intkernel.factorize(q):
+        if p ** e > PRIME_POWER_CAP:
+            return None
+        cost += 4 * p * e * k if a % p else p ** e
+        roots *= _root_bound(k, a, p, e)
+    return cost + roots * n_segments
+
+
+def _choose_algorithm(k: int, prog: Progression,
+                      segments: list[tuple[int, int]]) -> str:
+    """Walk windows of at most 64 t; stride windows wider than q.  In
+    between, factor q only when q <= span**2 (so factoring costs at most
+    about the walk) and stride when that is estimated cheaper than walking."""
     span = sum(B - A + 1 for A, B in segments)
-    return "interval" if span <= max(64, prog.q) else "residue"
+    if span <= 64:
+        return "interval"
+    if span > prog.q:
+        return "residue"
+    if prog.q > span * span:
+        return "interval"
+    cost = _residue_cost(k, prog.a, prog.q, len(segments))
+    return ("residue" if cost is not None and cost < _walk_length(k, segments)
+            else "interval")
+
+
+def _check_solution_cap(count_t: int) -> None:
+    if count_t > SOLUTION_CAP:
+        raise CellBudgetError(f"solution list of {count_t} pairs exceeds "
+                              f"cap {SOLUTION_CAP}")
 
 
 def _power_solutions(k: int, prog: Progression,
@@ -123,15 +191,22 @@ def count_powers_in_ap(k: int, prog: Progression, with_solutions: bool = False,
                        algorithm: str = "auto") -> CountReport:
     """Exact counts of kth powers t**k among the progression's terms.
 
-    algorithm is "interval", "residue", or "auto" (pick the cheaper by a
-    window-width vs. root-solving cost estimate).
+    algorithm is "interval", "residue", or "auto": the interval walk for a
+    t-window of at most 64 values, the residue stride for one wider than q,
+    and in between whichever _choose_algorithm estimates is cheaper.  A walk
+    longer than WALK_BUDGET, and a solution list longer than SOLUTION_CAP,
+    raise CellBudgetError before any of it is done.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     segments = kth_power_t_window(k, prog.lo, prog.hi)
     if algorithm == "auto":
-        algorithm = _choose_algorithm(prog, segments)
+        algorithm = _choose_algorithm(k, prog, segments)
     if algorithm == "interval":
+        walk = _walk_length(k, segments)
+        if walk > WALK_BUDGET:
+            raise CellBudgetError(f"interval walk over {walk} values of t "
+                                  f"exceeds budget {WALK_BUDGET}")
         ct, cv = kernels.interval_walk(k, prog.a, prog.q, segments)
     elif algorithm == "residue":
         ct, cv = _residue_stride_counts(k, prog, segments)
@@ -139,6 +214,7 @@ def count_powers_in_ap(k: int, prog: Progression, with_solutions: bool = False,
         raise ValueError(f"unknown algorithm {algorithm!r}")
     solutions = None
     if with_solutions:
+        _check_solution_cap(ct)
         solutions = _power_solutions(k, prog, segments)
         if len(solutions) != ct:
             raise InternalInvariantError(
@@ -155,7 +231,7 @@ def count_poly_in_ap(P: Poly, prog: Progression, t_cap: int = DEFAULT_T_CAP,
     P = t**k goes to count_powers_in_ap with ``algorithm``; any other P is
     counted by scanning preimage_range's window [-B, B], whose root bound B
     must not exceed ``t_cap``; then ``algorithm`` must be "auto".  Solutions
-    are sorted by t.
+    are sorted by t; more than SOLUTION_CAP of them raise CellBudgetError.
     """
     if P.degree < 1:
         raise ValueError("count_poly_in_ap requires degree >= 1")
@@ -173,5 +249,7 @@ def count_poly_in_ap(P: Poly, prog: Progression, t_cap: int = DEFAULT_T_CAP,
             continue
         sols.append((t, i))
         values.add(v)
+    if with_solutions:
+        _check_solution_cap(len(sols))
     return CountReport(len(sols), len(values),
                        tuple(sols) if with_solutions else None)

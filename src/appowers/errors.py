@@ -15,7 +15,7 @@ class PrimePowerCapError(ValueError):
 
 
 class CellBudgetError(RuntimeError):
-    """A sweep or search would evaluate more cells than its budget allows."""
+    """A sweep, search, interval walk or solution list would exceed its budget."""
 
 
 class InternalInvariantError(RuntimeError):

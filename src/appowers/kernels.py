@@ -2,8 +2,9 @@
 
 It visits every t of the exact kth-root window of the value interval and
 keeps those with t**k = a (mod q), in arbitrary precision.  Its cost is the
-width of the window, so ``counting`` picks it only for narrow windows and
-otherwise uses the residue stride; the tests cross-check the two.
+width of the window, so ``counting`` picks it when that is below the residue
+stride's estimated cost, and refuses a walk over its budget; the tests
+cross-check the two.
 """
 from __future__ import annotations
 

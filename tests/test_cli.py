@@ -71,6 +71,24 @@ class TestCount:
         code, _, _ = run_cli(capsys, *argv)
         assert code == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        # a walk of 1e25 values of t: q is a prime over the prime-power cap
+        (("--k", "2", "--a", "0", "--q", "1000000000000000000000000000057",
+          "--N", "100000000000000000000"), "exceeds budget"),
+        # a walk of 4.6e10 values of t
+        (("--k", "2", "--a", "1", "--q", "2147483648", "--N", "1000000000000",
+          "--algorithm", "interval"), "exceeds budget"),
+        # about 6.3e10 solution pairs
+        (("--k", "2", "--a", "0", "--q", "1",
+          "--N", "1000000000000000000000", "--solutions"), "exceeds cap"),
+    ])
+    def test_budgets_refuse_at_once(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "count", *argv)
+        assert time.perf_counter() - start < 5.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_algorithms_match(self, capsys):
         envs = [run_json(capsys, "count", "--k", "3", "--a", "-5", "--q", "7",
                          "--N", "500", "--algorithm", alg)

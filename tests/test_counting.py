@@ -1,10 +1,14 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from appowers import counting, intkernel, modroots
 from appowers.counting import (CountReport, Progression, count_poly_in_ap,
                                count_powers_in_ap)
-from appowers.intkernel import ikth_root_floor
+from appowers.errors import CellBudgetError, PrimePowerCapError
+from appowers.intkernel import ikth_root_floor, is_prime, kth_power_t_window
 from appowers.poly import Poly
 from oracles import brute_report
 
@@ -106,6 +110,124 @@ class TestCountPowers:
             for N in (1, 5, 10, 63, 64, 65, 999, 1000, 2000):
                 cv = count_powers_in_ap(k, Progression(0, 1, N)).count_values
                 assert cv == ikth_root_floor(N, k), (k, N)
+
+
+def _span(k, prog):
+    return sum(B - A + 1 for A, B in kth_power_t_window(k, prog.lo, prog.hi))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("auto took the algorithm its cost estimate rejects")
+
+
+class TestChooser:
+    """auto on windows with 64 < span <= q, where it weighs walk and stride."""
+
+    # (k, a, q, N, the algorithm auto takes)
+    CASES = [
+        # smooth q: the stride costs far less than the walk
+        (2, 1, 360360, 100, "residue"),
+        (3, 8, 360360, 20000, "residue"),
+        (4, 1, 2 ** 6 * 3 ** 4 * 5 * 7, 300000, "interval"),
+        # one large prime in q: building its power map costs more than walking
+        (2, 1, 3 * 100003, 100, "interval"),
+        (3, -7, 2 * 100019, 1000, "interval"),
+        # a divisible by high powers of q's primes: branching lifts
+        (2, 0, 2 ** 10 * 3 ** 5, 100, "residue"),
+        (2, 2 ** 8 * 3 ** 4, 2 ** 10 * 3 ** 5, 100, "residue"),
+        (2, 3 ** 8, 2 ** 4 * 3 ** 4 * 5 ** 3 * 7 ** 2, 20, "residue"),
+        (3, 0, 2 ** 9 * 3 ** 3 * 5, 300000, "residue"),
+        (3, 0, 2 ** 14 * 5 ** 3, 30000, "interval"),
+        (4, 0, 2 ** 12 * 5 ** 4, 300000, "interval"),
+        (2, 5 ** 6, 5 ** 8 * 7, 30, "interval"),
+        # a prime power over PRIME_POWER_CAP: walked, never refused
+        (2, 1, 2 ** 24 * 3, 4, "interval"),
+        (2, 0, 2 ** 24 * 3, 4, "interval"),
+        (3, -1, 2 ** 24 * 3, 40, "interval"),
+    ]
+
+    @pytest.mark.parametrize("k,a,q,N,chosen", CASES)
+    def test_auto_matches_both_algorithms_and_oracle(self, monkeypatch,
+                                                     k, a, q, N, chosen):
+        prog = Progression(a, q, N)
+        assert 64 < _span(k, prog) <= q
+        want = brute_report(k, prog)
+        walked = count_powers_in_ap(k, prog, algorithm="interval")
+        assert (walked.count_t, walked.count_values) == want
+        try:
+            assert count_powers_in_ap(k, prog, algorithm="residue") == walked
+        except PrimePowerCapError:
+            assert any(p ** e > modroots.PRIME_POWER_CAP
+                       for p, e in intkernel.factorize(q))
+        if chosen == "residue":
+            monkeypatch.setattr(counting.kernels, "interval_walk", _refuse)
+        else:
+            monkeypatch.setattr(counting, "_residue_stride_counts", _refuse)
+        assert count_powers_in_ap(k, prog) == walked
+
+    def test_many_roots_are_walked(self, monkeypatch):
+        # 1 has 6**8 sixth roots mod q, more than the 1.2e6 t the walk visits;
+        # the stride would build and count them all (4.5 s against 0.9 s)
+        q = 7 * 13 * 19 * 31 * 37 * 43 * 61 * 67
+        prog = Progression(1 - q, q, (2 * math.isqrt(q)) ** 6 // q)
+        monkeypatch.setattr(counting, "_residue_stride_counts", _refuse)
+        monkeypatch.setattr(counting.kernels, "interval_walk",
+                            lambda *args: (8, 4))  # the walk's real answer
+        assert count_powers_in_ap(6, prog) == CountReport(8, 4)
+
+    def test_hard_step_is_walked_without_factoring(self, monkeypatch):
+        # q is a product of two 20-digit primes and the window is ~1000 t
+        # wide, so q > span**2 and auto must walk without factoring q.
+        p1 = next(n for n in range(10 ** 19 + 1, 10 ** 20, 2) if is_prime(n))
+        p2 = next(n for n in range(3 * 10 ** 19 + 1, 10 ** 20, 2) if is_prime(n))
+        q = p1 * p2
+        t0 = q // 1000
+        prog = Progression(t0 * t0 - q, q, 2)  # terms t0**2 and t0**2 + q
+
+        def no_factoring(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        monkeypatch.setattr(intkernel, "factorize", no_factoring)
+        monkeypatch.setattr(modroots, "factorize", no_factoring)
+        assert 900 < _span(2, prog) < 1100
+        rep = count_powers_in_ap(2, prog)
+        # t0**2 + q = (t0 + d)**2 needs d * (2*t0 + d) = q, so d divides
+        # p1 * p2: d = 1 would need q = 2*t0 + 1, and d >= p1 gives more than q
+        assert (rep.count_t, rep.count_values) == (2, 1)
+
+
+class TestBudgets:
+    def test_walk_budget_is_exact(self, monkeypatch):
+        prog = Progression(0, 1, 10 ** 6)  # 1 <= t**2 <= 10**6: walks t = 1..1000
+        monkeypatch.setattr(counting, "WALK_BUDGET", 1000)
+        assert count_powers_in_ap(2, prog, algorithm="interval").count_t == 2000
+        monkeypatch.setattr(counting, "WALK_BUDGET", 999)
+        with pytest.raises(CellBudgetError):
+            count_powers_in_ap(2, prog, algorithm="interval")
+        # the residue stride has no walk to refuse
+        assert count_powers_in_ap(2, prog).count_t == 2000
+
+    def test_long_odd_walk_refused_at_once(self):
+        # odd k walks both signs; the even-k hang probe is a CLI test
+        prog = Progression(0, 10 ** 40 + 1, 10 ** 60)
+        assert _span(3, prog) <= prog.q
+        with pytest.raises(CellBudgetError):
+            count_powers_in_ap(3, prog)
+
+    def test_solution_cap_is_exact(self, monkeypatch):
+        prog = Progression(-23, 24, 5)  # six solutions
+        monkeypatch.setattr(counting, "SOLUTION_CAP", 6)
+        assert len(count_powers_in_ap(2, prog, with_solutions=True).solutions) == 6
+        assert count_poly_in_ap(Poly((1, 2)), Progression(1, 2, 6),
+                                with_solutions=True).count_t == 6
+        monkeypatch.setattr(counting, "SOLUTION_CAP", 5)
+        with pytest.raises(CellBudgetError):
+            count_powers_in_ap(2, prog, with_solutions=True)
+        with pytest.raises(CellBudgetError):
+            count_poly_in_ap(Poly((1, 2)), Progression(1, 2, 6),
+                             with_solutions=True)
+        # the counts alone are never capped
+        assert count_powers_in_ap(2, prog).count_t == 6
 
 
 class TestSolutions:
