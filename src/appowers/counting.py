@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import intkernel, kernels
 from .errors import CellBudgetError, InternalInvariantError
 from .intkernel import kth_power_t_window
-from .modroots import PRIME_POWER_CAP, kth_roots_mod
+from .modroots import ROOT_BUDGET, SMALL_PRIME, kth_roots_mod
 from .poly import Poly, preimage_range
 
 __all__ = [
@@ -133,20 +133,29 @@ def _root_bound(k: int, a: int, p: int, e: int) -> int:
 
 
 def _residue_cost(k: int, a: int, q: int, n_segments: int) -> int | None:
-    """The residue stride's cost in walked t, or None if it would refuse.
+    """The residue stride's cost in walked t, or None if its bound on the
+    number of roots exceeds modroots.ROOT_BUDGET.
 
-    Building _power_map(k, p) for a prime p not dividing a costs 2.4-3.3
-    walked t per entry, and the map then stays in an LRU cache; such a prime
-    is charged 4*p*e*k, above the build time alone, so that large maps stay
-    out of memory.  A prime dividing a costs p**e for the branching lifts.
-    Each root is then counted once per segment.
+    A prime p not dividing a costs 4*p*e*k up to SMALL_PRIME, where its table
+    of kth powers mod p is built (2.4-3.3 walked t per entry) and then kept in
+    an LRU cache, and 16*e*bit_length(p) above it, where a root is found with
+    O(log p) multiplications and lifted by Newton steps (measured cold: 5-16
+    walked t per bit of p for e = 1).  A prime dividing a costs its bound on
+    the roots, which are listed directly.  Each root is then counted once
+    per segment.
     """
     cost, roots = 0, 1
     for p, e in intkernel.factorize(q):
-        if p ** e > PRIME_POWER_CAP:
-            return None
-        cost += 4 * p * e * k if a % p else p ** e
-        roots *= _root_bound(k, a, p, e)
+        bound = _root_bound(k, a, p, e)
+        if a % p == 0:
+            cost += bound
+        elif p <= SMALL_PRIME:
+            cost += 4 * p * e * k
+        else:
+            cost += 16 * e * p.bit_length()
+        roots *= bound
+    if roots > ROOT_BUDGET:
+        return None
     return cost + roots * n_segments
 
 
@@ -154,7 +163,8 @@ def _choose_algorithm(k: int, prog: Progression,
                       segments: list[tuple[int, int]]) -> str:
     """Walk windows of at most 64 t; stride windows wider than q.  In
     between, factor q only when q <= span**2 (so factoring costs at most
-    about the walk) and stride when that is estimated cheaper than walking."""
+    about the walk) and stride when that is estimated cheaper than walking,
+    and its bound on the roots is within modroots.ROOT_BUDGET."""
     span = sum(B - A + 1 for A, B in segments)
     if span <= 64:
         return "interval"
@@ -194,8 +204,9 @@ def count_powers_in_ap(k: int, prog: Progression, with_solutions: bool = False,
     algorithm is "interval", "residue", or "auto": the interval walk for a
     t-window of at most 64 values, the residue stride for one wider than q,
     and in between whichever _choose_algorithm estimates is cheaper.  A walk
-    longer than WALK_BUDGET, and a solution list longer than SOLUTION_CAP,
-    raise CellBudgetError before any of it is done.
+    longer than WALK_BUDGET, a solution list longer than SOLUTION_CAP, and
+    more roots of t**k = a (mod q) than modroots.ROOT_BUDGET raise
+    CellBudgetError before any of it is done.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

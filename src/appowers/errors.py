@@ -11,11 +11,14 @@ class WindowCapError(ValueError):
 
 
 class PrimePowerCapError(ValueError):
-    """A prime-power modulus is too large for exhaustive residue enumeration."""
+    """Formerly raised for a prime power over a size cap; nothing raises it
+    now that roots mod any prime are found in polylog time.  Kept because
+    perfbench/worker.py imports it to classify refusals."""
 
 
 class CellBudgetError(RuntimeError):
-    """A sweep, search, interval walk or solution list would exceed its budget."""
+    """A sweep, search, interval walk, solution list or root list would
+    exceed its budget."""
 
 
 class InternalInvariantError(RuntimeError):

@@ -1,23 +1,36 @@
 """Solve x**k = a (mod m) for all residue classes.
 
-Prime-power moduli are handled by enumerating roots mod p and lifting them
-level by level (a Hensel step when the derivative is a unit, exhaustive
-branching otherwise); composite moduli are recombined with the Chinese
-remainder theorem.
+A composite modulus is split into its prime powers p**e; the root counts of
+the parts are multiplied and checked against ROOT_BUDGET, and the parts are
+recombined with the Chinese remainder theorem.  Modulo p**e:
+
+* a = 0: x**k = 0 exactly when p**ceil(e/k) divides x;
+* p**v exactly divides a: x = p**(v/k) * y (no roots unless k | v), with y a
+  unit root of y**k = a / p**v (mod p**(e-v)) and its next v - v/k p-adic
+  digits free;
+* unit roots mod p: a table of kth powers for p <= SMALL_PRIME; above it, an
+  Euler-criterion test, one root of x**d = a**s with d = gcd(k, p-1) and
+  s*k = d (mod p-1), found Sylow subgroup by Sylow subgroup (one prime r | d
+  at a time, digit by digit as in Tonelli-Shanks and Adleman-Manders-Miller),
+  and the other d - 1 roots from the d-th roots of unity;
+* unit roots mod p**e: Newton (Hensel) steps when p does not divide k, and,
+  when p | k (so p <= k), all p extensions of each root tried level by level.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import PrimePowerCapError
+from .errors import CellBudgetError
 from .intkernel import factorize, is_prime
 
-__all__ = ["ResidueSet", "kth_roots_mod_prime_power", "kth_roots_mod",
-           "PRIME_POWER_CAP"]
+__all__ = ["ResidueSet", "kth_roots_mod_prime_power", "kth_roots_mod"]
 
-# Largest p**e whose roots are found; roots mod p are enumerated in O(p).
-PRIME_POWER_CAP = 10 ** 7
+# Largest prime whose roots come from a table of kth powers mod p.
+SMALL_PRIME = 256
+# Largest root list built; 2**18 roots take about 1 s through the CRT.
+ROOT_BUDGET = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -26,6 +39,11 @@ class ResidueSet:
 
     modulus: int
     residues: tuple[int, ...]
+
+
+def _check_root_count(n: int, what: str = "roots") -> None:
+    if n > ROOT_BUDGET:
+        raise CellBudgetError(f"{n} {what} exceed budget {ROOT_BUDGET}")
 
 
 @lru_cache(maxsize=4096)
@@ -37,12 +55,121 @@ def _power_map(k: int, p: int) -> dict[int, tuple[int, ...]]:
     return {a: tuple(xs) for a, xs in table.items()}
 
 
-def kth_roots_mod_prime_power(a: int, k: int, p: int, e: int) -> ResidueSet:
-    """All x in [0, p**e) with x**k = a (mod p**e).
+@lru_cache(maxsize=4096)
+def _sylow_plan(p: int, d: int) -> tuple[tuple, int, int]:
+    """What taking d-th roots mod p needs, for d > 1 dividing p-1.
 
-    Roots mod p come from direct enumeration; each level of lifting applies
-    a unique Hensel step to nonsingular roots (k * x**(k-1) a unit mod p)
-    and tries all p extensions for singular ones.
+    Per prime r | d: r, the r**f exactly dividing d, the order rt of the
+    Sylow r-subgroup, its generator z (a power of the least r-th power
+    non-residue, a prime) and z's inverse, the exponent projecting onto the
+    subgroup, the inverse of d / r**f mod rt, and the map from z's elements
+    of order r to their logs / (rt/r).  Then a generator of the d-th roots
+    of unity, and the exponent taking d-th roots in the subgroup of order
+    prime to d.
+    """
+    sylows, omega, w = [], 1, p - 1
+    for r, f in factorize(d):
+        rt = r
+        while (p - 1) % (rt * r) == 0:
+            rt *= r
+        s = (p - 1) // rt
+        n = 2
+        while pow(n, (p - 1) // r, p) == 1:
+            n += 1
+        z = pow(n, s, p)
+        rf = r ** f
+        sylows.append((r, rf, rt, z, pow(z, -1, p), s * pow(s, -1, rt),
+                       pow(d // rf, -1, rt),
+                       {pow(z, j * (rt // r), p): j for j in range(r)}))
+        omega = omega * pow(z, rt // rf, p) % p
+        w //= rt
+    return tuple(sylows), omega, (p - 1) // w * pow((p - 1) // w * d, -1, w)
+
+
+def _roots_mod_prime(a: int, k: int, p: int) -> tuple[int, ...]:
+    """Sorted x in [0, p) with x**k = a (mod p), for a unit a in [1, p)."""
+    if p <= SMALL_PRIME:
+        return _power_map(k, p).get(a, ())
+    d = math.gcd(k, p - 1)
+    if d == 1:
+        return (pow(a, pow(k, -1, p - 1), p),)
+    if pow(a, (p - 1) // d, p) != 1:
+        return ()
+    _check_root_count(d)
+    b = pow(a, pow(k // d, -1, (p - 1) // d), p)  # x**k = a iff x**d = b
+    # One root x of x**d = b: the product of d-th roots of b's components in
+    # the subgroup of order prime to d and in each Sylow r-subgroup, where
+    # the log m of the component c to base z is found one base-r digit at a
+    # time (r**f divides m, since b is a d-th power).
+    sylows, omega, w_exp = _sylow_plan(p, d)
+    x = pow(b, w_exp, p)
+    for r, rf, rt, z, z_inv, proj, inv, digit in sylows:
+        c = pow(b, proj, p)
+        m, ri = 0, 1
+        while ri < rt:
+            m += digit[pow(c * pow(z_inv, m, p) % p, rt // r // ri, p)] * ri
+            ri *= r
+        x = x * pow(z, m // rf * inv, p) % p
+    roots = []
+    for _ in range(d):
+        roots.append(x)
+        x = x * omega % p
+    return tuple(sorted(roots))
+
+
+def _unit_roots(b: int, k: int, p: int, e: int) -> tuple[int, ...]:
+    """Sorted y in [0, p**e) with y**k = b (mod p**e), for b a unit mod p."""
+    roots = _roots_mod_prime(b % p, k, p)
+    if e == 1:
+        return roots
+    pe = p ** e
+    if k % p:
+        lifted = []
+        for x in roots:  # Newton's step doubles the precision of a simple root
+            mod = p
+            while mod < pe:
+                mod = min(mod * mod, pe)
+                step = pow(k * pow(x, k - 1, mod), -1, mod)
+                x = (x - (pow(x, k, mod) - b) * step) % mod
+            lifted.append(x)
+        return tuple(sorted(lifted))
+    # p | k: every root is singular; try each of its p extensions a level up
+    mod = p
+    while mod < pe:
+        _check_root_count(len(roots) * p, "candidate roots")
+        nxt = mod * p
+        roots = [c for x in roots for c in range(x, nxt, mod)
+                 if pow(c, k, nxt) == b % nxt]
+        mod = nxt
+    return tuple(sorted(roots))
+
+
+def _prime_power_roots(a: int, k: int, p: int, e: int) -> tuple[int, ...]:
+    """Sorted x in [0, p**e) with x**k = a (mod p**e); p must be prime."""
+    pe = p ** e
+    a %= pe
+    if a == 0:
+        step = p ** -(-e // k)
+        _check_root_count(pe // step)
+        return tuple(range(0, pe, step))
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    if v == 0:
+        return _unit_roots(a, k, p, e)
+    if v % k:
+        return ()
+    units = _unit_roots(a, k, p, e - v)
+    scale, m, free = p ** (v // k), p ** (e - v), p ** (v - v // k)
+    _check_root_count(len(units) * free)
+    return tuple(scale * (y + j * m) for j in range(free) for y in units)
+
+
+def kth_roots_mod_prime_power(a: int, k: int, p: int, e: int) -> ResidueSet:
+    """All x in [0, p**e) with x**k = a (mod p**e), for a prime p.
+
+    More than ROOT_BUDGET roots raise CellBudgetError before they are listed.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -50,31 +177,7 @@ def kth_roots_mod_prime_power(a: int, k: int, p: int, e: int) -> ResidueSet:
         raise ValueError(f"e must be >= 1, got {e}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    pe = p ** e
-    if pe > PRIME_POWER_CAP:
-        raise PrimePowerCapError(
-            f"prime power {p}^{e} exceeds cap {PRIME_POWER_CAP}")
-    a %= pe
-    roots = list(_power_map(k, p).get(a % p, ()))
-    mod = p
-    while mod < pe:
-        nxt = mod * p
-        lifted = []
-        for x in roots:
-            deriv = k * pow(x, k - 1, p) % p
-            if deriv:
-                # f(x) = x**k - a; unique lift x - f(x)/f'(x) mod nxt.
-                fx = (pow(x, k, nxt) - a) % nxt
-                inv = pow(k * pow(x, k - 1, nxt) % nxt, -1, nxt)
-                lifted.append((x - fx * inv) % nxt)
-            else:
-                for j in range(p):
-                    c = x + j * mod
-                    if (pow(c, k, nxt) - a) % nxt == 0:
-                        lifted.append(c)
-        roots = sorted(set(lifted))
-        mod = nxt
-    return ResidueSet(pe, tuple(roots))
+    return ResidueSet(p ** e, _prime_power_roots(a, k, p, e))
 
 
 def _crt_combine(r1: tuple[int, ...], m1: int,
@@ -91,18 +194,25 @@ def _crt_combine(r1: tuple[int, ...], m1: int,
 
 @lru_cache(maxsize=400_000)
 def _roots_mod_cached(a: int, k: int, m: int) -> tuple[int, ...]:
+    parts = []
+    for p, e in factorize(m):  # primes already, so no primality test here
+        roots = _prime_power_roots(a, k, p, e)
+        if not roots:
+            return ()
+        parts.append((roots, p ** e))
+    _check_root_count(math.prod(len(roots) for roots, _ in parts))
     residues: tuple[int, ...] = (0,)
     mod = 1
-    for p, e in factorize(m):
-        part = kth_roots_mod_prime_power(a, k, p, e)
-        if not part.residues:
-            return ()
-        residues, mod = _crt_combine(residues, mod, part.residues, part.modulus)
+    for roots, pe in parts:
+        residues, mod = _crt_combine(residues, mod, roots, pe)
     return residues
 
 
 def kth_roots_mod(a: int, k: int, m: int) -> ResidueSet:
-    """All x in [0, m) with x**k = a (mod m); m = 1 yields {0}."""
+    """All x in [0, m) with x**k = a (mod m); m = 1 yields {0}.
+
+    More than ROOT_BUDGET roots raise CellBudgetError before the CRT.
+    """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
     if k < 1:

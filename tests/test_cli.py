@@ -71,10 +71,27 @@ class TestCount:
         code, _, _ = run_cli(capsys, *argv)
         assert code == 1
 
-    @pytest.mark.parametrize("argv,message", [
-        # a walk of 1e25 values of t: q is a prime over the prime-power cap
+    @pytest.mark.parametrize("argv,want", [
+        # 2^31 | q, and a prime q over 10^7: roots in polylog time
+        (("--k", "2", "--a", "1", "--q", "2147483648", "--N", "1000000000000"),
+         172),
+        (("--k", "2", "--a", "5", "--q", "10000019", "--N", "1000000000000"),
+         1266),
+        # the hang probe: auto strides, and q | t**2 needs q | t, too large
         (("--k", "2", "--a", "0", "--q", "1000000000000000000000000000057",
-          "--N", "100000000000000000000"), "exceeds budget"),
+          "--N", "100000000000000000000"), 0),
+    ])
+    def test_large_prime_powers_answered_at_once(self, capsys, argv, want):
+        start = time.perf_counter()
+        env = run_json(capsys, "count", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert env["result"]["count_t"] == want
+
+    @pytest.mark.parametrize("argv,message", [
+        # a walk of 1e25 values of t
+        (("--k", "2", "--a", "0", "--q", "1000000000000000000000000000057",
+          "--N", "100000000000000000000", "--algorithm", "interval"),
+         "exceeds budget"),
         # a walk of 4.6e10 values of t
         (("--k", "2", "--a", "1", "--q", "2147483648", "--N", "1000000000000",
           "--algorithm", "interval"), "exceeds budget"),
@@ -88,6 +105,20 @@ class TestCount:
         assert time.perf_counter() - start < 5.0
         assert code == 1 and out == ""
         assert err.startswith("error: ") and message in err
+
+    def test_root_budget_refuses_at_once(self, capsys):
+        # 2^21 square roots of 1 mod the product of the first 21 odd primes
+        q = math.prod(p for p in range(3, 80)
+                      if all(p % d for d in range(2, p)))
+        argvs = [("count", "--k", "2", "--a", str(1 - q), "--q", str(q),
+                  "--N", str(10 ** 40)),
+                 ("roots", "--a", "0", "--k", "2", "--mod", str(2 ** 62))]
+        for argv in argvs:
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, *argv)
+            assert time.perf_counter() - start < 1.0
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and "roots exceed budget" in err
 
     def test_algorithms_match(self, capsys):
         envs = [run_json(capsys, "count", "--k", "3", "--a", "-5", "--q", "7",

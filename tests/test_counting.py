@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from appowers import counting, intkernel, modroots
 from appowers.counting import (CountReport, Progression, count_poly_in_ap,
                                count_powers_in_ap)
-from appowers.errors import CellBudgetError, PrimePowerCapError
+from appowers.errors import CellBudgetError
 from appowers.intkernel import ikth_root_floor, is_prime, kth_power_t_window
 from appowers.poly import Poly
 from oracles import brute_report
@@ -123,25 +123,34 @@ def _refuse(*args, **kwargs):
 class TestChooser:
     """auto on windows with 64 < span <= q, where it weighs walk and stride."""
 
-    # (k, a, q, N, the algorithm auto takes)
+    # (k, a, q, N, the algorithm auto takes).  The stride's estimate charges
+    # 4*p*e*k per prime p <= SMALL_PRIME not dividing a, 16*e*bit_length(p)
+    # per larger one, the root bound per prime dividing a, and the root bound
+    # of q per segment; the walk costs span (span // 2 for even k).
     CASES = [
-        # smooth q: the stride costs far less than the walk
+        # smooth q: the stride costs far less than the walk (640 < 5,402;
+        # 616 < 1,860), unless the walk is shorter still (832 > 463)
         (2, 1, 360360, 100, "residue"),
         (3, 8, 360360, 20000, "residue"),
         (4, 1, 2 ** 6 * 3 ** 4 * 5 * 7, 300000, "interval"),
-        # one large prime in q: building its power map costs more than walking
-        (2, 1, 3 * 100003, 100, "interval"),
-        (3, -7, 2 * 100019, 1000, "interval"),
-        # a divisible by high powers of q's primes: branching lifts
+        # one large prime in q: its root costs O(log p), so the stride wins
+        # (304 < 4,930; 298 < 526; 388 < 3,162)
+        (2, 1, 3 * 100003, 100, "residue"),
+        (3, -7, 2 * 100019, 1000, "residue"),
+        (2, 5, 10000019, 4, "residue"),
+        # a divisible by high powers of q's primes: roots listed from the
+        # valuation (617, 2,386, 593, 650 against walks of 2,706 to 9,782),
+        # unless there are many of them (13,337 > 3,819; 128,637 > 897)
         (2, 0, 2 ** 10 * 3 ** 5, 100, "residue"),
         (2, 2 ** 8 * 3 ** 4, 2 ** 10 * 3 ** 5, 100, "residue"),
         (2, 3 ** 8, 2 ** 4 * 3 ** 4 * 5 ** 3 * 7 ** 2, 20, "residue"),
         (3, 0, 2 ** 9 * 3 ** 3 * 5, 300000, "residue"),
         (3, 0, 2 ** 14 * 5 ** 3, 30000, "interval"),
         (4, 0, 2 ** 12 * 5 ** 4, 300000, "interval"),
-        (2, 5 ** 6, 5 ** 8 * 7, 30, "interval"),
-        # a prime power over PRIME_POWER_CAP: walked, never refused
-        (2, 1, 2 ** 24 * 3, 4, "interval"),
+        (2, 5 ** 6, 5 ** 8 * 7, 30, "residue"),  # 1,306 < 7,399
+        # 2^24 | q: four odd square roots mod 2^24 (424 < 7,094); 2^12
+        # roots of 0 (12,289 > 7,094); and q > span**2, walked unfactored
+        (2, 1, 2 ** 24 * 3, 4, "residue"),
         (2, 0, 2 ** 24 * 3, 4, "interval"),
         (3, -1, 2 ** 24 * 3, 40, "interval"),
     ]
@@ -154,11 +163,7 @@ class TestChooser:
         want = brute_report(k, prog)
         walked = count_powers_in_ap(k, prog, algorithm="interval")
         assert (walked.count_t, walked.count_values) == want
-        try:
-            assert count_powers_in_ap(k, prog, algorithm="residue") == walked
-        except PrimePowerCapError:
-            assert any(p ** e > modroots.PRIME_POWER_CAP
-                       for p, e in intkernel.factorize(q))
+        assert count_powers_in_ap(k, prog, algorithm="residue") == walked
         if chosen == "residue":
             monkeypatch.setattr(counting.kernels, "interval_walk", _refuse)
         else:
@@ -212,7 +217,28 @@ class TestBudgets:
         prog = Progression(0, 10 ** 40 + 1, 10 ** 60)
         assert _span(3, prog) <= prog.q
         with pytest.raises(CellBudgetError):
-            count_powers_in_ap(3, prog)
+            count_powers_in_ap(3, prog, algorithm="interval")
+        # auto strides: q = 10**40 + 1 is squarefree, so q | t**3 needs
+        # q | t, and (j*q)**3 <= 10**60 * q has no j >= 1
+        assert count_powers_in_ap(3, prog) == CountReport(0, 0)
+
+    def test_root_budget(self, monkeypatch):
+        # 2**w square roots of 1 mod the product of the first w odd primes
+        primes = [p for p in range(3, 80) if is_prime(p)]
+        for w, refused in ((16, False), (21, True)):
+            q = math.prod(primes[:w])
+            prog = Progression(1 - q, q, 10 ** 40)
+            if refused:
+                with pytest.raises(CellBudgetError):
+                    count_powers_in_ap(2, prog)
+            else:
+                rep = count_powers_in_ap(2, prog)
+                assert 0 < rep.count_values <= rep.count_t
+                assert len(modroots.kth_roots_mod(1, 2, q).residues) == 2 ** w
+        monkeypatch.setattr(modroots, "ROOT_BUDGET", 2 ** 16 - 1)
+        modroots._roots_mod_cached.cache_clear()
+        with pytest.raises(CellBudgetError):
+            modroots.kth_roots_mod(1, 2, math.prod(primes[:16]))
 
     def test_solution_cap_is_exact(self, monkeypatch):
         prog = Progression(-23, 24, 5)  # six solutions

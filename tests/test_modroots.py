@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from appowers.errors import PrimePowerCapError
+from appowers import modroots
+from appowers.errors import CellBudgetError
+from appowers.intkernel import is_prime
 from appowers.modroots import (ResidueSet, kth_roots_mod,
                                kth_roots_mod_prime_power)
 
@@ -27,12 +29,26 @@ class TestPrimePower:
             kth_roots_mod_prime_power(1, 2, 15, 1)
 
     def test_cap(self):
-        # 2^23 is the largest power of 2 under PRIME_POWER_CAP = 10^7
-        assert kth_roots_mod_prime_power(1, 2, 2, 23).residues == \
-            (1, 4194303, 4194305, 8388607)
-        for e in (24, 40):
-            with pytest.raises(PrimePowerCapError):
-                kth_roots_mod_prime_power(1, 2, 2, e)
+        # no cap on p**e: the four square roots of 1 are +-1 and 2**(e-1) +- 1
+        for e in (24, 31, 40):
+            half = 2 ** (e - 1)
+            assert kth_roots_mod_prime_power(1, 2, 2, e).residues == \
+                (1, half - 1, half + 1, 2 * half - 1)
+
+    def test_root_budget(self):
+        # x**2 = 0 (mod 2**62) has 2**31 roots, refused before any is listed
+        with pytest.raises(CellBudgetError):
+            kth_roots_mod_prime_power(0, 2, 2, 62)
+        with pytest.raises(CellBudgetError):
+            kth_roots_mod(0, 2, 2 ** 62)
+        # p | k lifts by trying p extensions of each root: x**10007 = 1 has
+        # 10007 roots mod 10007**2, so 10007**2 candidates a level up
+        with pytest.raises(CellBudgetError):
+            kth_roots_mod_prime_power(1, 10007, 10007, 3)
+        # exactly ROOT_BUDGET = 2**b roots, of x**2 = 0 (mod 2**(2b)), are listed
+        b = modroots.ROOT_BUDGET.bit_length() - 1
+        assert modroots.ROOT_BUDGET == 2 ** b
+        assert len(kth_roots_mod_prime_power(0, 2, 2, 2 * b).residues) == 2 ** b
 
     def test_singular_lifting_grid(self):
         # p | k and a = 0 mod p exercise the branching lift paths
@@ -43,6 +59,59 @@ class TestPrimePower:
                     for a in range(pe):
                         got = kth_roots_mod_prime_power(a, k, p, e).residues
                         assert got == brute_roots(a, k, pe), (a, k, p, e)
+
+
+class TestLargePrimes:
+    """Roots mod p above SMALL_PRIME come from the Sylow subgroups of
+    (Z/p)^*, not from a table of kth powers."""
+
+    @given(st.integers(min_value=modroots.SMALL_PRIME + 1, max_value=20000),
+           st.integers(min_value=2, max_value=12))
+    @settings(max_examples=25, deadline=None)
+    def test_against_power_table(self, n, k):
+        p = next(m for m in range(n, 2 * n) if is_prime(m))
+        table = {}
+        for x in range(p):
+            table.setdefault(pow(x, k, p), []).append(x)
+        for a in range(p):
+            assert kth_roots_mod_prime_power(a, k, p, 1).residues == \
+                tuple(table.get(a, ())), (a, k, p)
+
+    @given(st.integers(min_value=10 ** 12, max_value=10 ** 40),
+           st.integers(min_value=2, max_value=12),
+           st.integers(min_value=1, max_value=10 ** 6),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_past_1e12_against_euler(self, n, k, a, kth_power):
+        p = next(m for m in range(n, 2 * n) if is_prime(m))
+        if kth_power:  # else a is a kth power with chance 1/gcd(k, p-1)
+            a = pow(a, k, p)
+        d = math.gcd(k, p - 1)
+        roots = kth_roots_mod_prime_power(a, k, p, 1).residues
+        assert len(roots) == (d if pow(a, (p - 1) // d, p) == 1 else 0)
+        assert list(roots) == sorted(set(roots))
+        for r in roots:
+            assert 0 < r < p and pow(r, k, p) == a
+
+    def test_prime_powers_past_the_table(self):
+        # unit roots lift by Newton steps; p | a by the valuation
+        for p in (2053, 10007):
+            for k in (2, 3, 4, 6):
+                for a in (1, 2, 3, 7 ** k, p, p * p, 5 * p ** 2):
+                    got = kth_roots_mod_prime_power(a, k, p, 3).residues
+                    assert got == tuple(sorted(set(got)))
+                    for r in got:
+                        assert pow(r, k, p ** 3) == a % p ** 3
+                    if a == 7 ** k:
+                        assert len(got) == math.gcd(k, p - 1)
+            # x**2 = 0 (mod p**3) iff p**2 | x; x**3 = 0 iff p | x
+            assert kth_roots_mod_prime_power(0, 2, p, 3).residues == \
+                tuple(range(0, p ** 3, p ** 2))
+            with pytest.raises(CellBudgetError):  # p**2 roots
+                kth_roots_mod_prime_power(p ** 3, 3, p, 3)
+        # x = 10007*y, y**2 = 2 (mod 10007): the next digit of y is free
+        roots = kth_roots_mod_prime_power(2 * 10007 ** 2, 2, 10007, 3).residues
+        assert len(roots) == 2 * 10007
 
 
 class TestCompositeModulus:
