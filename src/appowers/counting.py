@@ -163,18 +163,20 @@ def _choose_algorithm(k: int, prog: Progression,
                       segments: list[tuple[int, int]]) -> str:
     """Walk windows of at most 64 t; stride windows wider than q.  In
     between, factor q only when q <= span**2 (so factoring costs at most
-    about the walk) and stride when that is estimated cheaper than walking,
-    and its bound on the roots is within modroots.ROOT_BUDGET."""
+    about the walk) or the walk exceeds WALK_BUDGET (so it would be refused;
+    factoring then stops at intkernel.RHO_STEP_BUDGET), and stride when
+    that is estimated cheaper than walking, and its bound on the roots is
+    within modroots.ROOT_BUDGET."""
     span = sum(B - A + 1 for A, B in segments)
     if span <= 64:
         return "interval"
     if span > prog.q:
         return "residue"
-    if prog.q > span * span:
+    walk = _walk_length(k, segments)
+    if prog.q > span * span and walk <= WALK_BUDGET:
         return "interval"
     cost = _residue_cost(k, prog.a, prog.q, len(segments))
-    return ("residue" if cost is not None and cost < _walk_length(k, segments)
-            else "interval")
+    return "residue" if cost is not None and cost < walk else "interval"
 
 
 def _check_solution_cap(count_t: int) -> None:

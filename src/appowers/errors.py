@@ -17,8 +17,8 @@ class PrimePowerCapError(ValueError):
 
 
 class CellBudgetError(RuntimeError):
-    """A sweep, search, interval walk, solution list or root list would
-    exceed its budget."""
+    """A sweep, search, interval walk, solution list, root list or
+    factorization would exceed its budget."""
 
 
 class InternalInvariantError(RuntimeError):

@@ -8,6 +8,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from .errors import CellBudgetError
+
 __all__ = [
     "is_prime",
     "factorize",
@@ -18,6 +20,12 @@ __all__ = [
 ]
 
 _TRIAL_LIMIT = 10 ** 6
+# Most steps y -> y*y + c (mod n) one Brent-rho call may be charged, over all
+# its increments.  Rounds double in length, so a refused call has run
+# 1,048,574 steps: 0.6-0.7 s for a 101-bit n (2-vCPU sandbox, Python 3.11).
+# Rho needs about sqrt(p) steps to find a prime factor p: this finds almost
+# every one below 1e11 and refuses most above 1e12.
+RHO_STEP_BUDGET = 1_500_000
 # Deterministic Miller-Rabin witnesses; exact for n below ~3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_EXACT_LIMIT = 3_317_044_064_679_887_385_961_981
@@ -59,14 +67,21 @@ def _brent_rho(n: int) -> int:
     """Return a nontrivial factor of an odd composite n (Brent's cycle method).
 
     The polynomial increments are tried in a fixed order, so the result is
-    deterministic for a given n.
+    deterministic for a given n.  Raises CellBudgetError rather than take
+    more than RHO_STEP_BUDGET steps (a round of 2*r steps is charged before
+    it runs); factorize's lru_cache does not cache the refusal.
     """
     if n % 2 == 0:
         return 2
+    steps = 0
     for c in range(1, 1000):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
+            steps += 2 * r
+            if steps > RHO_STEP_BUDGET:
+                raise CellBudgetError(f"factoring {n} exceeds "
+                                      f"{RHO_STEP_BUDGET} Brent-rho steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -105,7 +120,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Factor n >= 1 into (prime, exponent) pairs, primes increasing; () for 1.
 
     Trial division up to 10^6, then Brent-rho with Miller-Rabin on the
-    remaining cofactor, so a CLI call with a large step never silently fails.
+    remaining cofactor, so a CLI call with a large step never silently fails;
+    a Brent-rho call over RHO_STEP_BUDGET steps raises CellBudgetError.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")

@@ -110,23 +110,46 @@ def extract_witness(P: Poly, prog: Progression, t: int, t0: int) -> Witness:
 
 
 def _check_witnesses(P: Poly, prog: Progression,
-                     sols: tuple[tuple[int, int], ...]) -> int:
-    """Check every pair of one cell's sorted (t, i) solutions, exactly as
-    extract_witness would; return the number of pairs.
+                     sols: tuple[tuple[int, int], ...], tops: dict[int, int],
+                     quotients: dict[int, tuple[int, ...]]) -> int:
+    """Check one cell's (t, i) solutions, sorted by t, and certify through
+    _split, as extract_witness would, each pair that no earlier witnessed
+    cell of the same (P, q) certified; return the number of pairs.
 
-    Each (t, i) is checked against P once and each difference quotient is
-    built once per t0; pairs run in itertools.combinations order, t the
-    earlier solution and t0 the later one.
+    Every (t, i) is checked against P, and the t must increase strictly.
+    Then i - i0 = (P(t) - P(t0)) / q and |i - i0| <= N - 1 hold whatever a
+    is, so a pair's certificate depends only on (P, q, t, t0), and a pair
+    that lies in an earlier witnessed cell of its class a mod q has nothing
+    left to check.  Cells must arrive in nondecreasing a: then every earlier
+    cell of the class starts at or below this one, and a pair lies in one of
+    them iff both its values are at most ``tops[a % q]``, the largest upper
+    end a+N*q among them, which this call then raises to this cell's.
+    ``quotients`` holds the difference quotient at each t0, built on first
+    use; pairs go to _split as (t, t0) with t < t0.
     """
     for t, i in sols:
         if prog.index_of(P(t)) != i:
             raise InternalInvariantError(
                 f"P({t}) is not term {i} of {prog}")
-    Qs = [difference_quotient(P, t0).coeffs[::-1] for t0, _ in sols[1:]]
-    q, N = prog.q, prog.N
-    for j, (t, i) in enumerate(sols):
-        for Q, (t0, i0) in zip(Qs[j:], sols[j + 1:]):
-            _split(Q, q, N, t, t0, i, i0)
+    if any(t >= u for (t, _), (u, _) in zip(sols, sols[1:])):
+        raise InternalInvariantError(
+            f"solutions of {prog} are not strictly increasing in t")
+    a, q, N = prog.a, prog.q, prog.N
+    top = tops.get(a % q, a)
+    seen = (top - a) // q  # terms i <= seen were in an earlier cell
+    fresh = []  # the solutions so far with i > seen
+    for j, (t0, i0) in enumerate(sols):
+        new = i0 > seen
+        partners = sols[:j] if new else fresh
+        if partners:
+            Q = quotients.get(t0)
+            if Q is None:
+                Q = quotients[t0] = difference_quotient(P, t0).coeffs[::-1]
+            for t, i in partners:
+                _split(Q, q, N, t, t0, i, i0)
+        if new:
+            fresh.append((t0, i0))
+    tops[a % q] = max(top, a + N * q)
     return math.comb(len(sols), 2)
 
 
@@ -189,9 +212,14 @@ def _float_ratio(c: int, d: int, N: int, k: int) -> float:
 
 
 def _sweep_task(report: SweepReport, k: int, q: int) -> None:
-    """Check the cells of one (k, q) pair, folding them into report."""
+    """Check the cells of one (k, q) pair, folding them into report.
+
+    Cells run in increasing (a, N), the order _check_witnesses needs.
+    """
     dk = divisor_count(q) ** (k - 1)
     P = Poly.monomial(k)
+    tops: dict[int, int] = {}
+    quotients: dict[int, tuple[int, ...]] = {}
     for a in _a_values(q, report.a_mode):
         for N in report.N_set:
             prog = Progression(a, q, N)
@@ -217,7 +245,8 @@ def _sweep_task(report: SweepReport, k: int, q: int) -> None:
                 _float_ratio(rep.count_values, 1, N, k))
             if 2 <= rep.count_t <= WITNESS_PAIR_CAP:
                 sols = count_powers_in_ap(k, prog, with_solutions=True).solutions
-                report.witness_pairs += _check_witnesses(P, prog, sols)
+                report.witness_pairs += _check_witnesses(
+                    P, prog, sols, tops, quotients)
             if report.rows is not None:
                 report.rows.append((k, q, a, N, rep.count_t, rep.count_values,
                                     bound, ratio.numerator, ratio.denominator))
@@ -233,7 +262,9 @@ def verify_bound_sweep(k_set, q_max: int, N_set, a_mode: str = "window",
     search.DEFAULT_CELL_BUDGET cells raises CellBudgetError before any cell
     runs; a bound violation or witness failure raises immediately.  Every
     solution pair of a cell with 2 <= count_t <= WITNESS_PAIR_CAP gets its
-    witness checked.  ``threads`` is accepted and ignored.
+    witness checked, once per (k, q): see _check_witnesses.  witness_pairs
+    counts each pair in every such cell that contains it.  ``threads`` is
+    accepted and ignored.
     """
     k_set = tuple(sorted(set(int(k) for k in k_set)))
     N_set = tuple(sorted(set(int(N) for N in N_set)))

@@ -106,6 +106,19 @@ class TestCount:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and message in err
 
+    def test_unfactorable_step_refused_within_budget(self, capsys):
+        # the walk is over its budget (~5e7 t) and q > span**2, so auto
+        # factors q, a product of two 50-bit primes, and Brent-rho stops at
+        # intkernel.RHO_STEP_BUDGET (under 1 s)
+        q = 1125899906854991 * 1125900894496979
+        t0 = q // 10 ** 8
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "count", "--k", "2", "--a",
+                                 str(t0 * t0 - q), "--q", str(q), "--N", "2")
+        assert time.perf_counter() - start < 3.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Brent-rho steps" in err
+
     def test_root_budget_refuses_at_once(self, capsys):
         # 2^21 square roots of 1 mod the product of the first 21 odd primes
         q = math.prod(p for p in range(3, 80)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -199,6 +200,22 @@ class TestChooser:
         # t0**2 + q = (t0 + d)**2 needs d * (2*t0 + d) = q, so d divides
         # p1 * p2: d = 1 would need q = 2*t0 + 1, and d >= p1 gives more than q
         assert (rep.count_t, rep.count_values) == (2, 1)
+
+    def test_smooth_step_over_the_walk_budget_is_strided(self, monkeypatch):
+        # q is the product of the primes below 60 and the window is ~5e7 t
+        # wide: q > span**2, but the walk would be refused, so auto factors
+        # q (by trial division) and strides
+        q = math.prod(p for p in range(2, 60) if is_prime(p))
+        t0 = q // 10 ** 8
+        prog = Progression(t0 * t0 - q, q, 2)  # terms t0**2 and t0**2 + q
+        assert prog.q > _span(2, prog) ** 2
+        assert _span(2, prog) // 2 > counting.WALK_BUDGET
+        monkeypatch.setattr(counting.kernels, "interval_walk", _refuse)
+        start = time.perf_counter()
+        rep = count_powers_in_ap(2, prog)
+        assert time.perf_counter() - start < 1.0
+        squares = sum(math.isqrt(v) ** 2 == v for v in (t0 * t0, t0 * t0 + q))
+        assert (rep.count_t, rep.count_values) == (2 * squares, squares) == (2, 1)
 
 
 class TestBudgets:

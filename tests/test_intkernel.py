@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from appowers import intkernel
+from appowers.errors import CellBudgetError
 from appowers.intkernel import (divisor_count, factorize, ikth_root_ceil,
                                 ikth_root_floor, is_prime, kth_power_t_window)
 
@@ -44,6 +46,16 @@ class TestFactorize:
 
     def test_large_semiprime_uses_rho(self):
         n = (10 ** 9 + 7) * (10 ** 9 + 9)
+        assert factorize(n) == ((10 ** 9 + 7, 1), (10 ** 9 + 9, 1))
+
+    def test_rho_budget(self, monkeypatch):
+        n = (10 ** 9 + 7) * (10 ** 9 + 9)
+        factorize.cache_clear()
+        monkeypatch.setattr(intkernel, "RHO_STEP_BUDGET", 1000)
+        with pytest.raises(CellBudgetError, match="Brent-rho steps"):
+            factorize(n)
+        # the refusal is not cached
+        monkeypatch.setattr(intkernel, "RHO_STEP_BUDGET", 10 ** 6)
         assert factorize(n) == ((10 ** 9 + 7, 1), (10 ** 9 + 9, 1))
 
     def test_large_prime(self):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -160,9 +162,83 @@ class TestSweep:
 
         monkeypatch.setattr(theorem, "difference_quotient", counting)
         rep = verify_bound_sweep([2, 3], 10, [10, 100], collect_rows=True)
-        assert calls == sum(row[4] - 1 for row in rep.rows
-                            if 2 <= row[4] <= theorem.WITNESS_PAIR_CAP)
-        assert calls < rep.witness_pairs
+        # one per (k, q, t0) with t0 the larger t of a pair in some
+        # witnessed cell, that is every solution of such a cell but its least
+        t0s = set()
+        for k, q, a, N, ct, *_ in rep.rows:
+            if 2 <= ct <= theorem.WITNESS_PAIR_CAP:
+                sols = count_powers_in_ap(k, Progression(a, q, N),
+                                          with_solutions=True).solutions
+                t0s.update((k, q, t0) for t0, _ in sols[1:])
+        assert calls == len(t0s) == 464
+        assert calls < sum(row[4] - 1 for row in rep.rows
+                           if 2 <= row[4] <= theorem.WITNESS_PAIR_CAP)
+
+    @pytest.mark.parametrize("a_mode", ["window", "residues"])
+    def test_each_pair_certified_once(self, monkeypatch, a_mode):
+        # pairs recur in (a, N) and (a + q, N) and in (a, N) for larger N
+        certified = []
+        real = theorem._split
+
+        def spy(Q, q, N, t, t0, i, i0):
+            certified.append((len(Q), q, t, t0))  # len(Q) == k for t**k
+            return real(Q, q, N, t, t0, i, i0)
+
+        monkeypatch.setattr(theorem, "_split", spy)
+        rep = verify_bound_sweep([2, 3], 12, [10, 30, 100], a_mode=a_mode,
+                                 collect_rows=True)
+        want = set()
+        for k, q, a, N, ct, *_ in rep.rows:
+            if 2 <= ct <= theorem.WITNESS_PAIR_CAP:
+                sols = count_powers_in_ap(k, Progression(a, q, N),
+                                          with_solutions=True).solutions
+                want.update((k, q, t, t0) for (t, _), (t0, _) in
+                            itertools.combinations(sols, 2))
+        assert len(certified) == len(set(certified))
+        assert set(certified) == want
+        assert len(want) < rep.witness_pairs
+
+    def test_pair_first_in_a_later_cell_is_certified(self, monkeypatch):
+        # class 1 mod 24 has the cells a = -23 (values 1..97) and a = 1
+        # (values 25..121); (7, 11), with values 49 and 121, is only in the
+        # second, so its quotient at t0 = 11 is first used there
+        certified = []
+        real_split = theorem._split
+
+        def spy(Q, q, N, t, t0, i, i0):
+            certified.append((q, t, t0))
+            return real_split(Q, q, N, t, t0, i, i0)
+
+        def sweep():
+            rep = theorem.SweepReport(k_set=(2,), q_max=24, a_mode="window",
+                                      N_set=(5,))
+            theorem._sweep_task(rep, 2, 24)
+
+        monkeypatch.setattr(theorem, "_split", spy)
+        sweep()
+        assert certified.count((24, 7, 11)) == 1
+        assert certified.count((24, 5, 7)) == 1  # in both cells
+
+        real_dq = theorem.difference_quotient
+
+        def spoiled(P, t0):
+            Q = real_dq(P, t0)
+            return Poly(tuple(2 * c for c in Q.coeffs)) if t0 == 11 else Q
+
+        monkeypatch.setattr(theorem, "difference_quotient", spoiled)
+        with pytest.raises(InternalInvariantError):
+            sweep()
+
+    def test_output_pinned(self):
+        # sha256 recorded before pairs were certified once per (k, q)
+        rep = verify_bound_sweep([2, 3, 4], 12, [10, 100, 1000],
+                                 collect_rows=True)
+        out = rep.to_jsonable()
+        out["rows"] = [list(row) for row in rep.rows]
+        text = json.dumps(out, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "2a35a6ab878819fc5f9f244dea0935053577e5eafa9b4214e918fb5337bf5146")
+        assert rep.witness_pairs == 87508
 
     @pytest.mark.parametrize("fault", [
         lambda sols: sols[:-1] + ((sols[-1][0], sols[-1][1] + 1),),
@@ -188,6 +264,22 @@ class TestSweep:
         assert main(["verify", "--k-set", "2", "--q-max", "24",
                      "--N-set", "5"]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_repeated_solution_is_caught(self, monkeypatch):
+        # every (t, i) is a member and the length is count_t, but (7, 3) is
+        # missing: pairs with t = 7 would never be certified in later cells
+        real = theorem.count_powers_in_ap
+
+        def spoiled(k, prog, with_solutions=False, **kwargs):
+            rep = real(k, prog, with_solutions=with_solutions, **kwargs)
+            if with_solutions and (k, prog) == (2, Progression(-23, 24, 5)):
+                rep = CountReport(rep.count_t, rep.count_values,
+                                  rep.solutions[:-1] + rep.solutions[-2:-1])
+            return rep
+
+        monkeypatch.setattr(theorem, "count_powers_in_ap", spoiled)
+        with pytest.raises(InternalInvariantError, match="strictly increasing"):
+            verify_bound_sweep([2], 24, [5])
 
     def test_residue_mode(self):
         rep = verify_bound_sweep([2], 12, [50], a_mode="residues")
