@@ -9,6 +9,7 @@ an estimate of each one's cost in walked t.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import intkernel, kernels
@@ -77,11 +78,16 @@ class CountReport:
     solutions: tuple[tuple[int, int], ...] | None = None
 
 
-def _count_congruent(A: int, B: int, r: int, q: int) -> int:
-    """Number of t = r (mod q) in [A, B]."""
+def _count_classes(roots: tuple[int, ...], q: int, A: int, B: int) -> int:
+    """Number of t in [A, B] with t mod q in roots, which must be sorted.
+
+    For n roots R, sum over r in R of floor((x - r) / q) is
+    n*(x//q) + bisect_right(R, x % q) - n, so [A, B] costs two bisects.
+    """
     if B < A:
         return 0
-    return (B - r) // q - (A - 1 - r) // q
+    return (len(roots) * (B // q - (A - 1) // q)
+            + bisect_right(roots, B % q) - bisect_right(roots, (A - 1) % q))
 
 
 def _residue_stride_counts(k: int, prog: Progression,
@@ -90,20 +96,19 @@ def _residue_stride_counts(k: int, prog: Progression,
 
     The congruence alone is necessary but not sufficient; restricting each
     class to segments, the exact kth-root window of [lo, hi], is what pins
-    the index i into [1, N].
+    the index i into [1, N].  The roots come sorted, so each segment is
+    counted by rank (_count_classes), not root by root.
     """
     roots = kth_roots_mod(prog.a % prog.q, k, prog.q).residues
     if not roots:
         return 0, 0
-    ct = sum(_count_congruent(A, B, r, prog.q)
-             for A, B in segments for r in roots)
+    ct = sum(_count_classes(roots, prog.q, A, B) for A, B in segments)
     if k % 2 == 1:
         return ct, ct
     if not segments:
         return 0, 0
     A, B = segments[-1]  # the nonnegative side; values repeat under t -> -t
-    cv = sum(_count_congruent(max(A, 0), B, r, prog.q) for r in roots)
-    return ct, cv
+    return ct, _count_classes(roots, prog.q, max(A, 0), B)
 
 
 def _walk_length(k: int, segments: list[tuple[int, int]]) -> int:

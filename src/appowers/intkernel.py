@@ -19,20 +19,36 @@ __all__ = [
     "kth_power_t_window",
 ]
 
-_TRIAL_LIMIT = 10 ** 6
 # Most steps y -> y*y + c (mod n) one Brent-rho call may be charged, over all
 # its increments.  Rounds double in length, so a refused call has run
 # 1,048,574 steps: 0.6-0.7 s for a 101-bit n (2-vCPU sandbox, Python 3.11).
 # Rho needs about sqrt(p) steps to find a prime factor p: this finds almost
 # every one below 1e11 and refuses most above 1e12.
 RHO_STEP_BUDGET = 1_500_000
-# Deterministic Miller-Rabin witnesses; exact for n below ~3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witnesses: the primes 2..41 are exact below
+# _MR_EXACT_LIMIT, the least strong pseudoprime to all of them (OEIS A014233).
+# 2..37 alone pass 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
+def _prime_table(limit: int) -> tuple[int, ...]:
+    """The primes below limit, by a sieve of Eratosthenes."""
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    return tuple(p for p, flag in enumerate(sieve) if flag)
+
+
+# factorize trial-divides by these; Brent-rho takes the cofactor.
+_SMALL_PRIMES = _prime_table(1 << 12)
+
+
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test, deterministic for n < 3.3e24.
+    """Miller-Rabin primality test, deterministic for n < 3.3e24 (the 13
+    prime bases 2..41).
 
     Above that limit a fixed extended witness set is used; no known
     composite passes it, but the guarantee is heuristic there.
@@ -49,7 +65,7 @@ def is_prime(n: int) -> bool:
         s += 1
     bases = _MR_BASES
     if n >= _MR_EXACT_LIMIT:
-        bases = _MR_BASES + (41, 43, 47, 53, 59, 61, 67, 71, 73, 79)
+        bases = _MR_BASES + (43, 47, 53, 59, 61, 67, 71, 73, 79)
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -119,28 +135,26 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Factor n >= 1 into (prime, exponent) pairs, primes increasing; () for 1.
 
-    Trial division up to 10^6, then Brent-rho with Miller-Rabin on the
-    remaining cofactor, so a CLI call with a large step never silently fails;
-    a Brent-rho call over RHO_STEP_BUDGET steps raises CellBudgetError.
+    Trial division by the primes below 2**12, stopping once p*p exceeds the
+    cofactor; a cofactor left after the whole table has no prime factor
+    below 2**12 and goes to Miller-Rabin, then Brent-rho, which finds a
+    prime factor p in about sqrt(p) steps.  A Brent-rho call over
+    RHO_STEP_BUDGET steps raises CellBudgetError.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     out: dict[int, int] = {}
     m = n
-    while m % 2 == 0:
-        out[2] = out.get(2, 0) + 1
-        m //= 2
-    p = 3
-    while p * p <= m and p <= _TRIAL_LIMIT:
+    for p in _SMALL_PRIMES:
+        if p * p > m:
+            if m > 1:
+                out[m] = 1
+            break
         while m % p == 0:
             out[p] = out.get(p, 0) + 1
             m //= p
-        p += 2
-    if m > 1:
-        if p * p > m:
-            out[m] = out.get(m, 0) + 1
-        else:
-            _factor_into(m, out)
+    else:
+        _factor_into(m, out)
     return tuple(sorted(out.items()))
 
 

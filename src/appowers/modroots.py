@@ -180,16 +180,14 @@ def kth_roots_mod_prime_power(a: int, k: int, p: int, e: int) -> ResidueSet:
     return ResidueSet(p ** e, _prime_power_roots(a, k, p, e))
 
 
-def _crt_combine(r1: tuple[int, ...], m1: int,
-                 r2: tuple[int, ...], m2: int) -> tuple[tuple[int, ...], int]:
-    """Merge residue lists modulo coprime m1, m2 into lists modulo m1*m2."""
+def _crt_combine(r1: list[int], m1: int,
+                 r2: tuple[int, ...], m2: int) -> tuple[list[int], int]:
+    """Merge residue lists modulo coprime m1, m2 into one list modulo m1*m2,
+    unsorted: _roots_mod_cached sorts once, after the last prime power."""
     m = m1 * m2
     inv = pow(m1, -1, m2)
-    out = []
-    for x1 in r1:
-        for x2 in r2:
-            out.append((x1 + m1 * ((x2 - x1) * inv % m2)) % m)
-    return tuple(sorted(out)), m
+    return [(x1 + m1 * ((x2 - x1) * inv % m2)) % m
+            for x1 in r1 for x2 in r2], m
 
 
 @lru_cache(maxsize=400_000)
@@ -201,11 +199,10 @@ def _roots_mod_cached(a: int, k: int, m: int) -> tuple[int, ...]:
             return ()
         parts.append((roots, p ** e))
     _check_root_count(math.prod(len(roots) for roots, _ in parts))
-    residues: tuple[int, ...] = (0,)
-    mod = 1
+    residues, mod = [0], 1
     for roots, pe in parts:
         residues, mod = _crt_combine(residues, mod, roots, pe)
-    return residues
+    return tuple(sorted(residues))
 
 
 def kth_roots_mod(a: int, k: int, m: int) -> ResidueSet:

@@ -214,9 +214,12 @@ def _float_ratio(c: int, d: int, N: int, k: int) -> float:
 def _sweep_task(report: SweepReport, k: int, q: int) -> None:
     """Check the cells of one (k, q) pair, folding them into report.
 
-    Cells run in increasing (a, N), the order _check_witnesses needs.
+    Cells run in increasing (a, N), the order _check_witnesses needs.  The
+    ratios are compared with the running maxima by cross-multiplication; a
+    Fraction is built only for a new maximum.
     """
     dk = divisor_count(q) ** (k - 1)
+    roots = {N: ikth_root_ceil(N, k) for N in report.N_set}
     P = Poly.monomial(k)
     tops: dict[int, int] = {}
     quotients: dict[int, tuple[int, ...]] = {}
@@ -225,21 +228,24 @@ def _sweep_task(report: SweepReport, k: int, q: int) -> None:
             prog = Progression(a, q, N)
             rep = count_powers_in_ap(k, prog)
             report.cells += 1
-            root = ikth_root_ceil(N, k)
-            bound = bound_constant(k) * dk * root
+            root = roots[N]
+            den = dk * root
+            bound = bound_constant(k) * den
             if rep.count_t > bound:
                 raise BoundViolationError(
                     f"count_t={rep.count_t} exceeds bound {bound} at "
                     f"cell k={k}, q={q}, a={a}, N={N}")
             cell = (k, q, a, N)
-            ratio = Fraction(rep.count_t, dk * root)
-            if ratio > report.max_ratio:
-                report.max_ratio, report.max_ratio_cell = ratio, cell
+            best = report.max_ratio
+            if rep.count_t * best.denominator > best.numerator * den:
+                report.max_ratio = Fraction(rep.count_t, den)
+                report.max_ratio_cell = cell
             report.max_ratio_float = max(report.max_ratio_float,
                                          _float_ratio(rep.count_t, dk, N, k))
-            vratio = Fraction(rep.count_values, root)
-            if vratio > report.max_value_ratio:
-                report.max_value_ratio, report.max_value_ratio_cell = vratio, cell
+            best = report.max_value_ratio
+            if rep.count_values * best.denominator > best.numerator * root:
+                report.max_value_ratio = Fraction(rep.count_values, root)
+                report.max_value_ratio_cell = cell
             report.max_value_ratio_float = max(
                 report.max_value_ratio_float,
                 _float_ratio(rep.count_values, 1, N, k))
@@ -248,8 +254,9 @@ def _sweep_task(report: SweepReport, k: int, q: int) -> None:
                 report.witness_pairs += _check_witnesses(
                     P, prog, sols, tops, quotients)
             if report.rows is not None:
+                g = math.gcd(rep.count_t, den)
                 report.rows.append((k, q, a, N, rep.count_t, rep.count_values,
-                                    bound, ratio.numerator, ratio.denominator))
+                                    bound, rep.count_t // g, den // g))
 
 
 def verify_bound_sweep(k_set, q_max: int, N_set, a_mode: str = "window",

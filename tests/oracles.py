@@ -24,3 +24,10 @@ def brute_report(k, prog):
         cv += 1
         ct += 2 if k % 2 == 0 and v > 0 else 1
     return ct, cv
+
+
+def classes_count(roots, q, A, B):
+    """Number of t in [A, B] with t mod q in roots, one floor pair per root."""
+    if B < A:
+        return 0
+    return sum((B - r) // q - (A - 1 - r) // q for r in roots)

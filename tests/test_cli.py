@@ -154,6 +154,17 @@ class TestRoots:
         env = run_json(capsys, "roots", "--a", "1", "--k", "3", "--mod", "9")
         assert env["result"]["residues"] == [1, 4, 7]
 
+    def test_strong_pseudoprime_modulus(self, capsys):
+        # 399165290221 * 798330580441 passes Miller-Rabin to the bases 2..37:
+        # taken for a prime, it would have two square roots of 1, not four
+        p1, p2 = 399165290221, 798330580441
+        env = run_json(capsys, "roots", "--a", "1", "--k", "2",
+                       "--mod", str(p1 * p2))
+        crt = sorted((x1 + p1 * ((x2 - x1) * pow(p1, -1, p2) % p2))
+                     for x1 in (1, p1 - 1) for x2 in (1, p2 - 1))
+        assert env["result"]["residues"] == crt
+        assert len(crt) == 4
+
     def test_bad_modulus_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "roots", "--a", "1", "--k", "2",
                              "--mod", "0")

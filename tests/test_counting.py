@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from appowers import counting, intkernel, modroots
+from appowers import counting, intkernel, kernels, modroots
 from appowers.counting import (CountReport, Progression, count_poly_in_ap,
                                count_powers_in_ap)
 from appowers.errors import CellBudgetError
 from appowers.intkernel import ikth_root_floor, is_prime, kth_power_t_window
 from appowers.poly import Poly
-from oracles import brute_report
+from oracles import brute_report, classes_count
 
 ALGORITHMS = ("interval", "residue")
 
@@ -336,3 +336,37 @@ class TestIntervalWalk:
         prog = Progression(a, q, N)
         rep = count_powers_in_ap(k, prog, algorithm="interval")
         assert (rep.count_t, rep.count_values) == brute_report(k, prog)
+
+
+# Steps with many kth roots of their kth-power residues: modulo
+# 2**5 * 3**3 * 5 * 7 * 11 = 332,640, 1 has 64 square and 576 sixth roots.
+ROOT_RICH = (2 ** 5 * 3 ** 3 * 5 * 7 * 11, 2 ** 4 * 3 ** 2 * 5 * 7 * 13,
+             2 * 3 * 5 * 7 * 11 * 13, 2 ** 9 * 3 ** 4, 97, 1)
+
+
+class TestResidueStride:
+    """The stride counts each segment by rank among the sorted roots."""
+
+    @given(st.sampled_from(ROOT_RICH), st.integers(min_value=1, max_value=6),
+           st.integers(min_value=0, max_value=10 ** 6),
+           st.integers(min_value=-10 ** 7, max_value=10 ** 7),
+           st.integers(min_value=-10 ** 6, max_value=10 ** 7))
+    @settings(max_examples=300)
+    def test_rank_count_matches_per_root_sum(self, q, k, s, A, width):
+        roots = modroots.kth_roots_mod(s ** k, k, q).residues
+        B = A + width  # a negative width leaves the segment empty
+        assert (counting._count_classes(roots, q, A, B)
+                == classes_count(roots, q, A, B))
+
+    @given(st.sampled_from(ROOT_RICH), st.integers(min_value=2, max_value=5),
+           st.integers(min_value=0, max_value=10 ** 6),
+           st.integers(min_value=-3, max_value=3),
+           st.integers(min_value=1, max_value=2000))
+    @settings(max_examples=150)
+    def test_matches_the_interval_walk(self, q, k, s, shift, N):
+        # a kth-power residue, moved so that lo is negative for shift < 0
+        a = s ** k % q + shift * q
+        prog = Progression(a, q, N)
+        segments = kth_power_t_window(k, prog.lo, prog.hi)
+        assert (counting._residue_stride_counts(k, prog, segments)
+                == kernels.interval_walk(k, a, q, segments))

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +58,28 @@ class TestFactorize:
         # the refusal is not cached
         monkeypatch.setattr(intkernel, "RHO_STEP_BUDGET", 10 ** 6)
         assert factorize(n) == ((10 ** 9 + 7, 1), (10 ** 9 + 9, 1))
+
+    @pytest.mark.parametrize("n", [
+        4093 ** 2, 4099 ** 2, 4093 * 4099, 999983 * 999979,
+        4099 * 999983 * (10 ** 9 + 7), 2 ** 12 * 4093 ** 3 * 4099,
+    ])
+    def test_prime_table_edge(self, n):
+        # 4093 is the last prime of the trial-division table, 4099 the first
+        # prime past it; larger factors are left to Brent-rho
+        assert factorize(n) == trial_division(n)
+
+    def test_thirteen_digit_prime_is_fast(self):
+        factorize.cache_clear()
+        start = time.perf_counter()
+        assert factorize(10 ** 13 + 37) == ((10 ** 13 + 37, 1),)
+        assert time.perf_counter() - start < 0.02
+
+    def test_strong_pseudoprime_to_bases_2_to_37(self):
+        # the least strong pseudoprime to the prime bases 2..37 (OEIS A014233)
+        n = 318665857834031151167461
+        assert not is_prime(n)
+        assert factorize(n) == ((399165290221, 1), (798330580441, 1))
+        assert 399165290221 * 798330580441 == n
 
     def test_large_prime(self):
         m61 = 2 ** 61 - 1
