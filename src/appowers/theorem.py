@@ -65,30 +65,37 @@ class Witness:
     i0: int
 
 
-def _split(Q: tuple[int, ...], q: int, N: int, t: int, t0: int, i: int,
-           i0: int) -> tuple[int, int, int, int]:
-    """Check the certificate of one solution pair; return (q1, q2, n1, n2).
+def _split(Q: tuple[int, ...], q: int, N: int, t0: int, i0: int,
+           partners) -> tuple[int, int, int, int]:
+    """Check the certificate of each pair (t, t0) for (t, i) in partners,
+    which must not be empty; return the last pair's (q1, q2, n1, n2).
 
     Q holds the coefficients of the difference quotient at t0, highest
     first, and i, i0 are the indices of P(t), P(t0) in the progression.
+    Per pair: q1 = gcd(q, |t - t0|), q2 = q/q1 must divide Q(t) (Horner),
+    and n1*n2 = |i - i0| <= N - 1 with n1 = |t - t0|/q1, n2 = |Q(t)|/q2.
     """
-    if t == t0:
-        raise ValueError("witness extraction needs two distinct solutions")
-    q1 = math.gcd(q, abs(t - t0))
-    q2 = q // q1
-    n1 = abs(t - t0) // q1
-    Qt = 0
-    for c in Q:
-        Qt = Qt * t + c
-    if Qt % q2:
-        raise InternalInvariantError(
-            f"q2={q2} does not divide Q(t)={Qt} for t={t}, t0={t0}, "
-            f"q={q}, N={N}")
-    n2 = abs(Qt) // q2
-    if n1 * n2 != abs(i - i0) or abs(i - i0) > N - 1:
-        raise InternalInvariantError(
-            f"witness product check failed: n1={n1}, n2={n2}, "
-            f"i={i}, i0={i0}, N={N}")
+    gcd = math.gcd
+    for t, i in partners:
+        d = t - t0 if t > t0 else t0 - t
+        if not d:
+            raise ValueError("witness extraction needs two distinct solutions")
+        q1 = gcd(q, d)
+        q2 = q // q1
+        Qt = 0
+        for c in Q:
+            Qt = Qt * t + c
+        if Qt % q2:
+            raise InternalInvariantError(
+                f"q2={q2} does not divide Q(t)={Qt} for t={t}, t0={t0}, "
+                f"q={q}, N={N}")
+        n1 = d // q1
+        n2 = (Qt if Qt >= 0 else -Qt) // q2
+        di = i - i0 if i > i0 else i0 - i
+        if n1 * n2 != di or di >= N:
+            raise InternalInvariantError(
+                f"witness product check failed: n1={n1}, n2={n2}, "
+                f"i={i}, i0={i0}, N={N}")
     return q1, q2, n1, n2
 
 
@@ -105,7 +112,7 @@ def extract_witness(P: Poly, prog: Progression, t: int, t0: int) -> Witness:
     if i is None or i0 is None:
         raise ValueError("both P(t) and P(t0) must lie in the progression")
     Q = difference_quotient(P, t0).coeffs[::-1]
-    q1, q2, n1, n2 = _split(Q, prog.q, prog.N, t, t0, i, i0)
+    q1, q2, n1, n2 = _split(Q, prog.q, prog.N, t0, i0, ((t, i),))
     return Witness(t=t, t0=t0, q1=q1, q2=q2, n1=n1, n2=n2, i=i, i0=i0)
 
 
@@ -114,7 +121,8 @@ def _check_witnesses(P: Poly, prog: Progression,
                      quotients: dict[int, tuple[int, ...]]) -> int:
     """Check one cell's (t, i) solutions, sorted by t, and certify through
     _split, as extract_witness would, each pair that no earlier witnessed
-    cell of the same (P, q) certified; return the number of pairs.
+    cell of the same (P, q) certified; return the number of pairs.  The
+    pairs go to _split one t0 at a time, with all of that t0's partners.
 
     Every (t, i) is checked against P, and the t must increase strictly.
     Then i - i0 = (P(t) - P(t0)) / q and |i - i0| <= N - 1 hold whatever a
@@ -125,7 +133,7 @@ def _check_witnesses(P: Poly, prog: Progression,
     them iff both its values are at most ``tops[a % q]``, the largest upper
     end a+N*q among them, which this call then raises to this cell's.
     ``quotients`` holds the difference quotient at each t0, built on first
-    use; pairs go to _split as (t, t0) with t < t0.
+    use; the partners t of a t0 are the t < t0 still to certify.
     """
     for t, i in sols:
         if prog.index_of(P(t)) != i:
@@ -145,8 +153,7 @@ def _check_witnesses(P: Poly, prog: Progression,
             Q = quotients.get(t0)
             if Q is None:
                 Q = quotients[t0] = difference_quotient(P, t0).coeffs[::-1]
-            for t, i in partners:
-                _split(Q, q, N, t, t0, i, i0)
+            _split(Q, q, N, t0, i0, partners)
         if new:
             fresh.append((t0, i0))
     tops[a % q] = max(top, a + N * q)
@@ -214,15 +221,21 @@ def _float_ratio(c: int, d: int, N: int, k: int) -> float:
 def _sweep_task(report: SweepReport, k: int, q: int) -> None:
     """Check the cells of one (k, q) pair, folding them into report.
 
-    Cells run in increasing (a, N), the order _check_witnesses needs.  The
-    ratios are compared with the running maxima by cross-multiplication; a
-    Fraction is built only for a new maximum.
+    The first pass counts every cell in increasing (a, N), checks its bound,
+    folds its ratios and appends its row.  The ratios are compared with the
+    running maxima by cross-multiplication; a Fraction is built only for a
+    new maximum.  The second pass witnesses the cells with
+    2 <= count_t <= WITNESS_PAIR_CAP, one class a mod q at a time: one
+    solution list covers the hull of the class's witnessed cells, and each
+    such cell, in increasing (a, N) as _check_witnesses needs, gets the
+    solutions whose index falls in its own [1, N].  The hull of a class's
+    witnessed cells is at most two terms longer than the longest of them,
+    because in window mode the cells of a class start within 2q of each
+    other, so a large cell that is not witnessed is never listed.
     """
     dk = divisor_count(q) ** (k - 1)
     roots = {N: ikth_root_ceil(N, k) for N in report.N_set}
-    P = Poly.monomial(k)
-    tops: dict[int, int] = {}
-    quotients: dict[int, tuple[int, ...]] = {}
+    witnessed: dict[int, list[tuple[Progression, int]]] = {}  # by a % q
     for a in _a_values(q, report.a_mode):
         for N in report.N_set:
             prog = Progression(a, q, N)
@@ -250,13 +263,29 @@ def _sweep_task(report: SweepReport, k: int, q: int) -> None:
                 report.max_value_ratio_float,
                 _float_ratio(rep.count_values, 1, N, k))
             if 2 <= rep.count_t <= WITNESS_PAIR_CAP:
-                sols = count_powers_in_ap(k, prog, with_solutions=True).solutions
-                report.witness_pairs += _check_witnesses(
-                    P, prog, sols, tops, quotients)
+                witnessed.setdefault(a % q, []).append((prog, rep.count_t))
             if report.rows is not None:
                 g = math.gcd(rep.count_t, den)
                 report.rows.append((k, q, a, N, rep.count_t, rep.count_values,
                                     bound, rep.count_t // g, den // g))
+    P = Poly.monomial(k)
+    tops: dict[int, int] = {}
+    quotients: dict[int, tuple[int, ...]] = {}
+    for cells in witnessed.values():
+        a0 = cells[0][0].a  # the least a of the class
+        hi = max(prog.hi for prog, _ in cells)
+        sols = count_powers_in_ap(k, Progression(a0, q, (hi - a0) // q),
+                                  with_solutions=True).solutions
+        for prog, count_t in cells:
+            shift = (prog.a - a0) // q
+            mine = tuple((t, i - shift) for t, i in sols
+                         if shift < i <= shift + prog.N)
+            if len(mine) != count_t:
+                raise InternalInvariantError(
+                    f"{len(mine)} solutions of {prog} in the list of its "
+                    f"class, count_t is {count_t}")
+            report.witness_pairs += _check_witnesses(P, prog, mine, tops,
+                                                     quotients)
 
 
 def verify_bound_sweep(k_set, q_max: int, N_set, a_mode: str = "window",
@@ -267,7 +296,10 @@ def verify_bound_sweep(k_set, q_max: int, N_set, a_mode: str = "window",
     Cells are visited serially in (k, q, a, N) order, so argmax ties go to
     the lexicographically first cell.  A grid of more than
     search.DEFAULT_CELL_BUDGET cells raises CellBudgetError before any cell
-    runs; a bound violation or witness failure raises immediately.  Every
+    runs, and so does a k or an N below 1 (ValueError).  A bound violation
+    raises as soon as its cell is counted; the witnesses of a (k, q) are
+    checked after all its cells are counted (see _sweep_task), so a witness
+    failure raises after any bound violation of the same (k, q).  Every
     solution pair of a cell with 2 <= count_t <= WITNESS_PAIR_CAP gets its
     witness checked, once per (k, q): see _check_witnesses.  witness_pairs
     counts each pair in every such cell that contains it.  ``threads`` is
@@ -277,6 +309,10 @@ def verify_bound_sweep(k_set, q_max: int, N_set, a_mode: str = "window",
     N_set = tuple(sorted(set(int(N) for N in N_set)))
     if not k_set or not N_set or q_max < 1:
         raise ValueError("empty sweep grid")
+    if k_set[0] < 1:
+        raise ValueError(f"k_set entries must be >= 1, got {k_set[0]}")
+    if N_set[0] < 1:
+        raise ValueError(f"N_set entries must be >= 1, got {N_set[0]}")
     if a_mode == "window":  # sum of 2q + 1 over q <= q_max
         per_k_N = q_max * (q_max + 2)
     elif a_mode == "residues":

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from appowers import cli
+from appowers import cli, theorem
 from appowers.cli import main
 from appowers.errors import InternalInvariantError
 from appowers.theorem import CSV_COLUMNS
@@ -252,6 +252,21 @@ class TestVerify:
                                    "--q-max", q_max, "--N-set", "10")
             assert time.perf_counter() - start < 1.0
             assert code == 1 and out == ""
+
+    @pytest.mark.parametrize("k_set,N_set,name", [
+        ("0,2", "10", "k_set"), ("-1", "10", "k_set"),
+        ("2", "0,10", "N_set"), ("2,3", "-5", "N_set"),
+    ])
+    def test_nonpositive_k_or_N_exit_1_before_any_cell(
+            self, capsys, monkeypatch, k_set, N_set, name):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran before the grid was checked")
+
+        monkeypatch.setattr(theorem, "count_powers_in_ap", no_cell)
+        code, out, err = run_cli(capsys, "verify", "--k-set", k_set,
+                                 "--q-max", "3", "--N-set", N_set)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {name} entries must be >= 1")
 
 
 class TestWitness:

@@ -93,15 +93,36 @@ class TestWitness:
             for q in (1, 6, 24):
                 prog = Progression(1 - 500 * q, q, 1000)
                 sols = count_powers_in_ap(k, prog, with_solutions=True).solutions
-                for (t, i), (t0, i0) in itertools.combinations(sols, 2):
-                    w = extract_witness(P, prog, t, t0)
+                for j, (t0, i0) in enumerate(sols):
                     Q = difference_quotient(P, t0).coeffs[::-1]
-                    assert _split(Q, q, prog.N, t, t0, i, i0) == \
-                        (w.q1, w.q2, w.n1, w.n2)
-                    assert (w.i, w.i0) == (i, i0)
-                    pairs += 1
-                    negative += t < 0
+                    for t, i in sols[:j]:
+                        w = extract_witness(P, prog, t, t0)
+                        assert _split(Q, q, prog.N, t0, i0, [(t, i)]) == \
+                            (w.q1, w.q2, w.n1, w.n2)
+                        assert (w.i, w.i0) == (i, i0)
+                        pairs += 1
+                        negative += t < 0
+                    if j:  # all partners in one call: the last one's split
+                        w = extract_witness(P, prog, sols[j - 1][0], t0)
+                        assert _split(Q, q, prog.N, t0, i0, sols[:j]) == \
+                            (w.q1, w.q2, w.n1, w.n2)
         assert pairs > 0 and negative > 0
+
+    def test_split_checks_every_partner(self):
+        # a bad pair is caught wherever it sits among the partners of t0
+        P = Poly.monomial(2)
+        prog = Progression(-23, 24, 5)
+        sols = count_powers_in_ap(2, prog, with_solutions=True).solutions
+        t0, i0 = sols[-1]
+        Q = difference_quotient(P, t0).coeffs[::-1]
+        assert _split(Q, 24, 5, t0, i0, sols[:-1]) == (2, 12, 1, 1)
+        for j in range(len(sols) - 1):
+            t, i = sols[j]
+            bad = sols[:j] + ((t, i + 1),) + sols[j + 1:-1]
+            with pytest.raises(InternalInvariantError):
+                _split(Q, 24, 5, t0, i0, bad)
+        with pytest.raises(ValueError, match="two distinct"):
+            _split(Q, 24, 5, t0, i0, sols[:1] + ((t0, i0),))
 
     def test_general_polynomial_witness(self):
         P = Poly((1, 0, 2))  # 2t^2 + 1
@@ -180,9 +201,10 @@ class TestSweep:
         certified = []
         real = theorem._split
 
-        def spy(Q, q, N, t, t0, i, i0):
-            certified.append((len(Q), q, t, t0))  # len(Q) == k for t**k
-            return real(Q, q, N, t, t0, i, i0)
+        def spy(Q, q, N, t0, i0, partners):
+            # len(Q) == k for t**k
+            certified.extend((len(Q), q, t, t0) for t, _ in partners)
+            return real(Q, q, N, t0, i0, partners)
 
         monkeypatch.setattr(theorem, "_split", spy)
         rep = verify_bound_sweep([2, 3], 12, [10, 30, 100], a_mode=a_mode,
@@ -205,9 +227,9 @@ class TestSweep:
         certified = []
         real_split = theorem._split
 
-        def spy(Q, q, N, t, t0, i, i0):
-            certified.append((q, t, t0))
-            return real_split(Q, q, N, t, t0, i, i0)
+        def spy(Q, q, N, t0, i0, partners):
+            certified.extend((q, t, t0) for t, _ in partners)
+            return real_split(Q, q, N, t0, i0, partners)
 
         def sweep():
             rep = theorem.SweepReport(k_set=(2,), q_max=24, a_mode="window",
@@ -240,46 +262,117 @@ class TestSweep:
             "2a35a6ab878819fc5f9f244dea0935053577e5eafa9b4214e918fb5337bf5146")
         assert rep.witness_pairs == 87508
 
-    @pytest.mark.parametrize("fault", [
-        lambda sols: sols[:-1] + ((sols[-1][0], sols[-1][1] + 1),),
-        lambda sols: sols[:-1] + ((sols[-1][0] + 1, sols[-1][1]),),
-        # every |i - i0| is unchanged, so only the membership check sees it
-        lambda sols: tuple((t, i + 1) for t, i in sols),
-    ], ids=["one_index_off_by_one", "not_a_solution", "every_index_shifted"])
-    def test_bad_solution_is_caught(self, monkeypatch, capsys, fault):
-        # (2, 24, -23, 5) has the solutions (t, i) = (-7, 3), (-5, 2),
-        # (-1, 1), (1, 1), (5, 2), (7, 3)
+    # (2, 24, -23, 5) has the solutions (t, i) = (-7, 3), (-5, 2),
+    # (-1, 1), (1, 1), (5, 2), (7, 3).  It shares class 1 mod 24 with the
+    # witnessed cell (2, 24, 1, 5), so its solutions come from the one list
+    # of that class, Progression(-23, 24, 6), which adds (-11, 6), (11, 6).
+    CLASS_CALL = (2, Progression(-23, 24, 6))
+    CELL = r"Progression\(a=-23, q=24, N=5\)"
+
+    def spoil_class_list(self, monkeypatch, fault):
+        """Route the class list of (2, 24, -23, 5) through fault, which maps
+        each (t, i) to its replacement; return the spoiled calls made."""
         real = theorem.count_powers_in_ap
+        spoiled_calls = []
 
         def spoiled(k, prog, with_solutions=False, **kwargs):
             rep = real(k, prog, with_solutions=with_solutions, **kwargs)
-            if with_solutions and (k, prog) == (2, Progression(-23, 24, 5)):
+            if with_solutions and (k, prog) == self.CLASS_CALL:
+                spoiled_calls.append(prog)
                 rep = CountReport(rep.count_t, rep.count_values,
-                                  fault(rep.solutions))
+                                  tuple(fault(t, i) for t, i in rep.solutions))
             return rep
 
         monkeypatch.setattr(theorem, "count_powers_in_ap", spoiled)
-        with pytest.raises(InternalInvariantError):
+        return spoiled_calls
+
+    @pytest.mark.parametrize("fault", [
+        lambda t, i: (t, i + 1) if t == 7 else (t, i),
+        lambda t, i: (t + 1, i) if t == 7 else (t, i),
+        # every |i - i0| is unchanged, so only the membership check sees it
+        lambda t, i: (t, i + 1),
+    ], ids=["one_index_off_by_one", "not_a_solution", "every_index_shifted"])
+    def test_bad_solution_is_caught(self, monkeypatch, capsys, fault):
+        spoiled_calls = self.spoil_class_list(monkeypatch, fault)
+        with pytest.raises(InternalInvariantError, match=self.CELL):
             verify_bound_sweep([2], 24, [5])
+        assert spoiled_calls == [self.CLASS_CALL[1]]
         assert main(["verify", "--k-set", "2", "--q-max", "24",
                      "--N-set", "5"]) == 2
         assert capsys.readouterr().out == ""
 
     def test_repeated_solution_is_caught(self, monkeypatch):
-        # every (t, i) is a member and the length is count_t, but (7, 3) is
-        # missing: pairs with t = 7 would never be certified in later cells
+        # every (t, i) is a member and the cell's slice has count_t entries,
+        # but (7, 3) is missing: pairs with t = 7 would never be certified
+        # in later cells
+        spoiled_calls = self.spoil_class_list(
+            monkeypatch, lambda t, i: (5, 2) if t == 7 else (t, i))
+        with pytest.raises(InternalInvariantError,
+                           match=self.CELL + " are not strictly increasing"):
+            verify_bound_sweep([2], 24, [5])
+        assert spoiled_calls == [self.CLASS_CALL[1]]
+
+    def test_lost_solution_is_caught(self, monkeypatch):
+        # (7, 3) dropped from the class list leaves the cell one short
+        self.spoil_class_list(monkeypatch,
+                              lambda t, i: (7, 7) if t == 7 else (t, i))
+        with pytest.raises(InternalInvariantError,
+                           match="5 solutions of " + self.CELL):
+            verify_bound_sweep([2], 24, [5])
+
+    @pytest.mark.parametrize("a_mode", ["window", "residues"])
+    def test_slices_match_cell_solutions(self, monkeypatch, a_mode):
+        # each witnessed cell's slice of its class list is exactly the list
+        # its own with_solutions call makes
+        seen = []
+        real = theorem._check_witnesses
+
+        def spy(P, prog, sols, tops, quotients):
+            seen.append((P.degree, prog, sols))
+            return real(P, prog, sols, tops, quotients)
+
+        monkeypatch.setattr(theorem, "_check_witnesses", spy)
+        rep = verify_bound_sweep([2, 3, 4], 12, [10, 30, 100], a_mode=a_mode,
+                                 collect_rows=True)
+        for k, prog, sols in seen:
+            assert sols == count_powers_in_ap(k, prog,
+                                              with_solutions=True).solutions
+        # class by class, so not in (a, N) order within a (k, q)
+        assert sorted((k, prog.q, prog.a, prog.N) for k, prog, _ in seen) == [
+            row[:4] for row in rep.rows
+            if 2 <= row[4] <= theorem.WITNESS_PAIR_CAP]
+
+    def test_one_solution_list_per_class(self, monkeypatch):
+        lists = []
         real = theorem.count_powers_in_ap
 
-        def spoiled(k, prog, with_solutions=False, **kwargs):
-            rep = real(k, prog, with_solutions=with_solutions, **kwargs)
-            if with_solutions and (k, prog) == (2, Progression(-23, 24, 5)):
-                rep = CountReport(rep.count_t, rep.count_values,
-                                  rep.solutions[:-1] + rep.solutions[-2:-1])
-            return rep
+        def spy(k, prog, with_solutions=False, **kwargs):
+            if with_solutions:
+                lists.append((k, prog.q, prog.a % prog.q))
+            return real(k, prog, with_solutions=with_solutions, **kwargs)
 
-        monkeypatch.setattr(theorem, "count_powers_in_ap", spoiled)
-        with pytest.raises(InternalInvariantError, match="strictly increasing"):
-            verify_bound_sweep([2], 24, [5])
+        monkeypatch.setattr(theorem, "count_powers_in_ap", spy)
+        rep = verify_bound_sweep([2, 3, 4], 12, [10, 100, 1000],
+                                 collect_rows=True)
+        witnessed = [(k, q, a % q) for k, q, a, N, ct, *_ in rep.rows
+                     if 2 <= ct <= theorem.WITNESS_PAIR_CAP]
+        assert len(lists) == len(set(lists)) == 137
+        assert set(lists) == set(witnessed)
+        assert len(witnessed) == 649
+
+    def test_large_unwitnessed_cells_are_not_listed(self):
+        # for k = 2 and q = 1 each N = 10**12 cell has about 2 * 10**6
+        # solutions, over counting.SOLUTION_CAP; no such cell is witnessed,
+        # so none is listed.
+        # sha256 recorded before witnessed cells shared one list per class
+        rep = verify_bound_sweep([2, 3, 4], 5, [10, 10 ** 12],
+                                 collect_rows=True)
+        out = rep.to_jsonable()
+        out["rows"] = [list(row) for row in rep.rows]
+        text = json.dumps(out, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "4e13f73875340609d880d4d8d032636cedb89908156851181b3f6bf2dd38362c")
+        assert rep.witness_pairs == 266
 
     def test_residue_mode(self):
         rep = verify_bound_sweep([2], 12, [50], a_mode="residues")
@@ -300,6 +393,10 @@ class TestSweep:
             verify_bound_sweep([2, 3], 10 ** 9, [10, 100], a_mode="residues")
         with pytest.raises(ValueError, match="unknown a_mode"):
             verify_bound_sweep([2], 10 ** 9, [10], a_mode="cells")
+        with pytest.raises(ValueError, match="k_set entries must be >= 1"):
+            verify_bound_sweep([0, 2], 10, [10])
+        with pytest.raises(ValueError, match="N_set entries must be >= 1"):
+            verify_bound_sweep([2], 10, [-5, 10])
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
