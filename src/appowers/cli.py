@@ -15,8 +15,7 @@ import json
 import sys
 import time
 
-from .counting import (DEFAULT_T_CAP, CountReport, Progression,
-                       count_poly_in_ap)
+from .counting import CountReport, Progression, count_poly_in_ap
 from .errors import InternalInvariantError
 from .modroots import kth_roots_mod
 from .poly import Poly, parse_poly
@@ -61,14 +60,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="count kth powers or polynomial values")
     p.add_argument("--k", type=_int)
     p.add_argument("--poly", type=parse_poly,
-                   help='coefficients "c0,c1,...,ck", lowest degree first')
+                   help='coefficients "c0,c1,...,ck", lowest degree first; '
+                        'write --poly=-1,0,-1 when c0 is negative')
     p.add_argument("--a", type=_int, required=True)
     p.add_argument("--q", type=_int, required=True)
     p.add_argument("--N", type=_int, required=True)
     p.add_argument("--solutions", action="store_true")
     p.add_argument("--algorithm", choices=("interval", "residue", "auto"),
                    default="auto")
-    p.add_argument("--t-cap", type=_int, default=DEFAULT_T_CAP)
     add_common(p)
 
     p = sub.add_parser("roots", help="solve x^k = a (mod m)")
@@ -129,7 +128,7 @@ def _report_payload(rep: CountReport) -> dict:
 def _run_count(args) -> dict:
     rep = count_poly_in_ap(_resolve_poly(args),
                            Progression(args.a, args.q, args.N),
-                           t_cap=args.t_cap, with_solutions=args.solutions,
+                           with_solutions=args.solutions,
                            algorithm=args.algorithm)
     return _report_payload(rep)
 

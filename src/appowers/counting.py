@@ -8,9 +8,11 @@ an estimate of each one's cost in walked t.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 
 from . import intkernel, kernels
 from .errors import CellBudgetError, InternalInvariantError
@@ -25,7 +27,6 @@ __all__ = [
     "count_poly_in_ap",
 ]
 
-DEFAULT_T_CAP = 10 ** 6
 # Longest interval walk, in values of t visited; about 1-2 s of walking.
 WALK_BUDGET = 10 ** 7
 # Largest count_t whose solution list is built.
@@ -184,6 +185,12 @@ def _choose_algorithm(k: int, prog: Progression,
     return "residue" if cost is not None and cost < walk else "interval"
 
 
+def _check_walk(walk: int) -> None:
+    if walk > WALK_BUDGET:
+        raise CellBudgetError(f"interval walk over {walk} values of t "
+                              f"exceeds budget {WALK_BUDGET}")
+
+
 def _check_solution_cap(count_t: int) -> None:
     if count_t > SOLUTION_CAP:
         raise CellBudgetError(f"solution list of {count_t} pairs exceeds "
@@ -221,10 +228,7 @@ def count_powers_in_ap(k: int, prog: Progression, with_solutions: bool = False,
     if algorithm == "auto":
         algorithm = _choose_algorithm(k, prog, segments)
     if algorithm == "interval":
-        walk = _walk_length(k, segments)
-        if walk > WALK_BUDGET:
-            raise CellBudgetError(f"interval walk over {walk} values of t "
-                                  f"exceeds budget {WALK_BUDGET}")
+        _check_walk(_walk_length(k, segments))
         ct, cv = kernels.interval_walk(k, prog.a, prog.q, segments)
     elif algorithm == "residue":
         ct, cv = _residue_stride_counts(k, prog, segments)
@@ -241,15 +245,30 @@ def count_powers_in_ap(k: int, prog: Progression, with_solutions: bool = False,
     return CountReport(ct, cv, solutions)
 
 
-def count_poly_in_ap(P: Poly, prog: Progression, t_cap: int = DEFAULT_T_CAP,
-                     with_solutions: bool = False,
+def _segment_hits(P: Poly, a: int, q: int, A: int, B: int):
+    """(P(t), t) for the t in [A, B] with P(t) = a (mod q), by increasing
+    P(t).  P is strictly monotone on [A, B]; its first two values give the
+    direction, so each t is evaluated once."""
+    head = [(P(t), t) for t in range(A, min(A + 2, B + 1))]
+    if len(head) == 2 and head[0][0] > head[1][0]:
+        pairs = chain(((P(t), t) for t in range(B, A + 1, -1)), reversed(head))
+    else:
+        pairs = chain(head, ((P(t), t) for t in range(A + 2, B + 1)))
+    return ((v, t) for v, t in pairs if (v - a) % q == 0)
+
+
+def count_poly_in_ap(P: Poly, prog: Progression, with_solutions: bool = False,
                      algorithm: str = "auto") -> CountReport:
     """Exact counts for a general integer polynomial P of degree >= 1.
 
     P = t**k goes to count_powers_in_ap with ``algorithm``; any other P is
-    counted by scanning preimage_range's window [-B, B], whose root bound B
-    must not exceed ``t_cap``; then ``algorithm`` must be "auto".  Solutions
-    are sorted by t; more than SOLUTION_CAP of them raise CellBudgetError.
+    counted by walking preimage_range's exact segments, and then
+    ``algorithm`` must be "auto".  That walk is charged against WALK_BUDGET
+    like the monomial one.  Its state is one generator per segment, never a
+    set or list as long as the count: the segments' hits are merged by
+    value, so a value hit from several segments is counted once.
+    Solutions are sorted by t; more than SOLUTION_CAP of them raise
+    CellBudgetError as soon as the list grows past it.
     """
     if P.degree < 1:
         raise ValueError("count_poly_in_ap requires degree >= 1")
@@ -258,16 +277,18 @@ def count_poly_in_ap(P: Poly, prog: Progression, t_cap: int = DEFAULT_T_CAP,
                                   algorithm=algorithm)
     if algorithm != "auto":
         raise ValueError(f"algorithm {algorithm!r} applies only to P = t**k")
-    sols = []
-    values = set()
-    for t in preimage_range(P, prog.lo, prog.hi, t_cap):
-        v = P(t)
-        i = prog.index_of(v)
-        if i is None:
-            continue
-        sols.append((t, i))
-        values.add(v)
-    if with_solutions:
-        _check_solution_cap(len(sols))
-    return CountReport(len(sols), len(values),
-                       tuple(sols) if with_solutions else None)
+    segments = preimage_range(P, prog.lo, prog.hi)
+    _check_walk(sum(B - A + 1 for A, B in segments))
+    ct = cv = 0
+    last = None
+    sols = [] if with_solutions else None
+    for v, t in heapq.merge(*(_segment_hits(P, prog.a, prog.q, A, B)
+                              for A, B in segments)):
+        ct += 1
+        if v != last:
+            cv += 1
+            last = v
+        if sols is not None:
+            sols.append((t, (v - prog.a) // prog.q))
+            _check_solution_cap(len(sols))
+    return CountReport(ct, cv, tuple(sorted(sols)) if with_solutions else None)

@@ -2,12 +2,10 @@
 
 
 class WindowCapError(ValueError):
-    """The provably-complete search window exceeds the caller's cap."""
-
-    def __init__(self, bound, cap):
-        super().__init__(f"search window [-{bound}, {bound}] exceeds cap {cap}")
-        self.bound = bound
-        self.cap = cap
+    """Formerly raised when the [-B, B] preimage scan exceeded a user-set cap
+    on B; nothing raises it now that preimages are bisected into exact
+    segments.  Kept because perfbench/worker.py imports it to classify
+    refusals."""
 
 
 class PrimePowerCapError(ValueError):

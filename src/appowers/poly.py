@@ -1,14 +1,13 @@
 """Integer-coefficient univariate polynomials.
 
 Covers exact evaluation, the difference-quotient factorization
-P(t) - P(t0) = (t - t0) * Q(t), and inversion of a value interval to the
-complete set of integer preimages.
+P(t) - P(t0) = (t - t0) * Q(t), and inversion of a value interval to exact
+segments of integer preimages.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import WindowCapError
 from .intkernel import ikth_root_ceil
 
 __all__ = ["Poly", "parse_poly", "difference_quotient", "preimage_range"]
@@ -94,21 +93,64 @@ def _root_bound(coeffs: tuple[int, ...], shift: int) -> int:
     return min(1 + -(-top // lead), 2 * fuji)
 
 
-def preimage_range(P: Poly, lo: int, hi: int, t_cap: int) -> list[int]:
-    """All integers t with P(t) in [lo, hi], sorted ascending.
+def _last(pred, x: int, y: int) -> int:
+    """Largest t in [x, y] with pred(t), or x - 1; pred holds on a prefix."""
+    while x <= y:
+        m = (x + y) // 2
+        if pred(m):
+            x = m + 1
+        else:
+            y = m - 1
+    return x - 1
 
-    The scan window [-B, B] uses the root bound of both P - lo and P - hi
-    (see _root_bound), so it provably contains every solution; B grows like
-    (max(|lo|, |hi|) / |c_n|)**(1/n).  Raises WindowCapError when B exceeds
-    t_cap.
+
+def _monotone_pieces(P: Poly, left: int, right: int) -> list[tuple[int, int]]:
+    """Integer intervals partitioning [left, right], ascending, on each of
+    which P is strictly monotone over the reals.
+
+    A linear P is one piece.  Otherwise P' is strictly monotone on each of
+    its own pieces, so it has at most one root there; where its sign changes
+    inside a piece, P is cut after the last t before the root, found by
+    bisection.  P is also cut wherever P' is, since a root of P' may lie
+    between the two integers of such a cut.
+    """
+    if P.degree <= 1:
+        return [(left, right)]
+    D = Poly(tuple(i * c for i, c in enumerate(P.coeffs))[1:])
+    cuts = []
+    for x, y in _monotone_pieces(D, left, right):
+        dx = D(x)
+        if dx * D(y) < 0:
+            cuts.append(_last(lambda t: (D(t) > 0) == (dx > 0), x, y))
+        cuts.append(y)
+    cuts.pop()  # right
+    return list(zip([left] + [c + 1 for c in cuts], cuts + [right]))
+
+
+def preimage_range(P: Poly, lo: int, hi: int) -> list[tuple[int, int]]:
+    """Closed intervals of t exactly covering {t : lo <= P(t) <= hi}.
+
+    The intervals, shaped like intkernel.kth_power_t_window's, are
+    ascending, disjoint and not merged, and P is strictly monotone on each.
+    Every solution lies in [-B, B], B the larger root bound of P - lo and
+    P - hi (see _root_bound); that bracket is cut into the pieces on which
+    P is monotone (_monotone_pieces), and each piece is bisected for its
+    first and last t with P(t) in [lo, hi].  The cost is polynomial in the
+    degree and in log B, whatever the width of [lo, hi].
     """
     if lo > hi:
         raise ValueError(f"empty value interval [{lo}, {hi}]")
     if P.degree < 1:
         raise ValueError("preimage_range requires degree >= 1")
-    if t_cap < 0:
-        raise ValueError(f"t_cap must be >= 0, got {t_cap}")
     bound = max(_root_bound(P.coeffs, lo), _root_bound(P.coeffs, hi))
-    if bound > t_cap:
-        raise WindowCapError(bound, t_cap)
-    return [t for t in range(-bound, bound + 1) if lo <= P(t) <= hi]
+    segments = []
+    for x, y in _monotone_pieces(P, -bound, bound):
+        if P(x) <= P(y):
+            A = _last(lambda t: P(t) < lo, x, y) + 1
+            B = _last(lambda t: P(t) <= hi, A, y)
+        else:
+            A = _last(lambda t: P(t) > hi, x, y) + 1
+            B = _last(lambda t: P(t) >= lo, A, y)
+        if A <= B:
+            segments.append((A, B))
+    return segments

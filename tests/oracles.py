@@ -1,6 +1,8 @@
-"""Brute-force oracle shared by the tests, independent of both production
-counting algorithms (the interval walk and the residue stride) and of the
-package's integer roots: it imports nothing from appowers."""
+"""Brute-force oracles shared by the tests, independent of both production
+counting algorithms (the interval walk and the residue stride), of the
+polynomial preimage segments and of the package's integer roots: they
+import nothing from appowers."""
+import functools
 
 
 def brute_report(k, prog):
@@ -31,3 +33,35 @@ def classes_count(roots, q, A, B):
     if B < A:
         return 0
     return sum((B - r) // q - (A - 1 - r) // q for r in roots)
+
+
+@functools.lru_cache(maxsize=None)
+def _preimages(coeffs, limit):
+    """value -> ascending t in [-limit, limit] with sum c_i t**i = value."""
+    table = {}
+    for t in range(-limit, limit + 1):
+        table.setdefault(sum(c * t ** i for i, c in enumerate(coeffs)),
+                         []).append(t)
+    return table
+
+
+def brute_poly_report(coeffs, prog):
+    """(count_t, count_values, solutions) for P = sum c_i t**i by looking up
+    every term a + i*q among the values of P.
+
+    coeffs is lowest degree first, with c_n != 0.  A t with P(t) = v is a
+    root of P - v, so Cauchy's bound gives |t| <= 1 + max(|c_0 - v|,
+    |c_1|, ..., |c_(n-1)|) <= 1 + M + max|c_i|, M = max(|lo|, |hi|); the
+    value table covers that window, rounded up to a power of two so that
+    few are built.  solutions are the (t, i) pairs sorted by t.
+    """
+    need = 1 + max(abs(prog.lo), abs(prog.hi)) + max(map(abs, coeffs[:-1]))
+    table = _preimages(tuple(coeffs), 1 << need.bit_length())
+    solutions = []
+    cv = 0
+    for i in range(1, prog.N + 1):
+        ts = table.get(prog.a + i * prog.q, ())
+        cv += bool(ts)
+        solutions.extend((t, i) for t in ts)
+    solutions.sort()
+    return len(solutions), cv, solutions

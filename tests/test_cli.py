@@ -48,6 +48,41 @@ class TestCount:
                        "--q", "2", "--N", "10000000")
         assert env["result"] == {"count_t": 6324, "count_values": 3162}
 
+    def test_poly_wide_walk(self, capsys):
+        # 2t^2 + 1 over the odd numbers up to 2e12 + 1: 0 < |t| <= 10^6
+        env = run_json(capsys, "count", "--poly", "1,0,2", "--a", "1",
+                       "--q", "2", "--N", "1000000000000")
+        assert env["result"] == {"count_t": 2000000, "count_values": 1000000}
+
+    def test_poly_far_from_zero_at_once(self, capsys):
+        # ten terms near 2e13, between 2t^2 + 1 at |t| = 3162277 and 3162278
+        start = time.perf_counter()
+        env = run_json(capsys, "count", "--poly", "1,0,2",
+                       "--a", "20000000000001", "--q", "2", "--N", "10")
+        assert time.perf_counter() - start < 1.0
+        assert env["result"] == {"count_t": 0, "count_values": 0}
+
+    def test_poly_walk_over_budget_refused_at_once(self, capsys):
+        # |t| <= 10^7 is a walk of 2e7 values of t
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "count", "--poly", "1,0,2",
+                                 "--a", "1", "--q", "2",
+                                 "--N", "100000000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "exceeds budget" in err
+
+    def test_poly_with_negative_constant_term(self, capsys):
+        # argparse reads "-1,0,-1" after a space as a flag, so it needs "="
+        env = run_json(capsys, "count", "--poly=-1,0,-1", "--a", "-100",
+                       "--q", "3", "--N", "40")
+        assert env["params"]["poly"] == [-1, 0, -1]
+        assert env["result"] == {"count_t": 7, "count_values": 4}
+        code, out, err = run_cli(capsys, "count", "--poly", "-1,0,-1", "--a",
+                                 "-100", "--q", "3", "--N", "40")
+        assert code == 1 and out == ""
+        assert "expected one argument" in err
+
     def test_solutions(self, capsys):
         env = run_json(capsys, "count", "--k", "2", "--a", "-23",
                        "--q", "24", "--N", "5", "--solutions")
@@ -63,9 +98,8 @@ class TestCount:
         # --algorithm picks a t**k algorithm, so it refuses any other P
         ("count", "--poly", "1,0,2", "--a", "1", "--q", "2", "--N", "50",
          "--algorithm", "residue"),
-        # the root bound of 2t^2 + 1 - (2e7 + 1) is 4474 > --t-cap
-        ("count", "--poly", "1,0,2", "--a", "1", "--q", "2", "--N", "10000000",
-         "--t-cap", "1000"),
+        # a constant P has no preimage to walk
+        ("count", "--poly", "5", "--a", "1", "--q", "2", "--N", "5"),
     ])
     def test_input_errors_exit_1(self, capsys, argv):
         code, _, _ = run_cli(capsys, *argv)

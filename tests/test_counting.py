@@ -11,7 +11,7 @@ from appowers.counting import (CountReport, Progression, count_poly_in_ap,
 from appowers.errors import CellBudgetError
 from appowers.intkernel import ikth_root_floor, is_prime, kth_power_t_window
 from appowers.poly import Poly
-from oracles import brute_report, classes_count
+from oracles import brute_poly_report, brute_report, classes_count
 
 ALGORITHMS = ("interval", "residue")
 
@@ -272,6 +272,23 @@ class TestBudgets:
         # the counts alone are never capped
         assert count_powers_in_ap(2, prog).count_t == 6
 
+    def test_poly_solution_cap_stops_the_walk(self, monkeypatch):
+        """The cap is checked as the list grows: 2t + 1 hits every odd term,
+        so a walk over 1000 values of t stops at its sixth solution."""
+        monkeypatch.setattr(counting, "SOLUTION_CAP", 5)
+        evaluated = []
+        evaluate = Poly.__call__
+
+        def counted(P, t):
+            evaluated.append(t)
+            return evaluate(P, t)
+
+        monkeypatch.setattr(Poly, "__call__", counted)
+        with pytest.raises(CellBudgetError):
+            count_poly_in_ap(Poly((1, 2)), Progression(1, 2, 1000),
+                             with_solutions=True)
+        assert len(evaluated) < 100
+
 
 class TestSolutions:
     def test_rudin_cell_solutions(self):
@@ -324,6 +341,27 @@ class TestCountPoly:
     def test_rejects_constant(self):
         with pytest.raises(ValueError):
             count_poly_in_ap(Poly((3,)), Progression(0, 1, 10))
+
+    # degrees 1-4, each with both signs of the leading coefficient: repeated
+    # values (t^2 - t, t^3 - t, t^4 - 5t^2), critical points at integers
+    # (2t^3 - 3t^2) and two of them between 0 and 1 (16t^3 - 24t^2 + 9t)
+    @pytest.mark.parametrize("coeffs", [
+        (1, 2), (4, -3), (1, 0, 2), (0, -1, 1), (-3, 5, -2),
+        (0, -1, 0, 1), (0, 0, -3, 2), (0, 9, -24, 16), (2, 7, 0, -1),
+        (0, 0, -5, 0, 1), (1, -2, 3, 0, -2),
+    ])
+    def test_matches_brute_force_grid(self, coeffs):
+        """count_t, count_values and solutions over q <= 12, a in [-q, q],
+        N in {1, 7, 40}."""
+        P = Poly(coeffs)
+        for q in range(1, 13):
+            for a in range(-q, q + 1):
+                for N in (1, 7, 40):
+                    prog = Progression(a, q, N)
+                    rep = count_poly_in_ap(P, prog, with_solutions=True)
+                    ct, cv, sols = brute_poly_report(coeffs, prog)
+                    assert (rep.count_t, rep.count_values) == (ct, cv), prog
+                    assert list(rep.solutions) == sols, prog
 
 
 class TestIntervalWalk:

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from appowers.errors import WindowCapError
 from appowers.intkernel import kth_power_t_window
 from appowers.poly import Poly, difference_quotient, parse_poly, preimage_range
 
@@ -64,33 +63,25 @@ class TestDifferenceQuotient:
         assert P(t) - P(t0) == (t - t0) * Q(t)
 
 
+def flatten(segments):
+    return [t for A, B in segments for t in range(A, B + 1)]
+
+
 class TestPreimageRange:
     @pytest.mark.parametrize("coeffs,lo,hi,want", [
-        ((0, 0, 1), 2, 101, list(range(-10, -1)) + list(range(2, 11))),
-        ((0, 0, 0, 1), -8, 8, [-2, -1, 0, 1, 2]),
-        ((1, 2), 1, 9, [0, 1, 2, 3, 4]),
+        ((0, 0, 1), 2, 101, [(-10, -2), (2, 10)]),
+        # t^3 inherits the cut of 3t^2 at 0
+        ((0, 0, 0, 1), -8, 8, [(-2, 0), (1, 2)]),
+        ((1, 2), 1, 9, [(0, 4)]),
     ])
     def test_examples(self, coeffs, lo, hi, want):
-        assert preimage_range(Poly(coeffs), lo, hi, 10 ** 6) == want
-
-    def test_cap(self):
-        with pytest.raises(WindowCapError):
-            preimage_range(Poly((0, 1)), 0, 10 ** 9, 100)
-        with pytest.raises(WindowCapError):
-            preimage_range(Poly.monomial(2), 0, 10 ** 9, 100)
-        # 2t^2 + 1 in [3, 2e7 + 1] is 1 <= |t| <= 3162; the root bound of
-        # 2t^2 - 2e7 is 2 * ceil(sqrt(5e6)) = 4474 (Cauchy's is 1e7 + 1).
-        P, lo, hi = Poly((1, 0, 2)), 3, 2 * 10 ** 7 + 1
-        assert len(preimage_range(P, lo, hi, 4474)) == 6324
-        with pytest.raises(WindowCapError) as err:
-            preimage_range(P, lo, hi, 4473)
-        assert err.value.bound == 4474
+        assert preimage_range(Poly(coeffs), lo, hi) == want
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            preimage_range(Poly((7,)), 0, 10, 100)
+            preimage_range(Poly((7,)), 0, 10)
         with pytest.raises(ValueError):
-            preimage_range(Poly.monomial(2), 5, 4, 100)
+            preimage_range(Poly.monomial(2), 5, 4)
 
     @given(small_polys, st.integers(min_value=-2000, max_value=2000),
            st.integers(min_value=0, max_value=4000))
@@ -100,9 +91,31 @@ class TestPreimageRange:
         if P.degree < 1:
             return
         hi = lo + width
-        got = preimage_range(P, lo, hi, 10 ** 4)
+        got = flatten(preimage_range(P, lo, hi))
         want = [t for t in range(-10 ** 4, 10 ** 4 + 1) if lo <= P(t) <= hi]
         assert got == want
+
+    @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1,
+                    max_size=5),
+           st.integers(min_value=1, max_value=9), st.booleans(),
+           st.integers(min_value=-3000, max_value=3000),
+           st.integers(min_value=0, max_value=3000))
+    @settings(max_examples=200, deadline=None)
+    def test_segment_shape(self, low, lead, negate, lo, width):
+        """Ascending, disjoint segments, P strictly monotone on each, that
+        flatten to every t with P(t) in [lo, hi]."""
+        P = Poly(tuple(low) + (-lead if negate else lead,))
+        hi = lo + width
+        segments = preimage_range(P, lo, hi)
+        assert all(A <= B for A, B in segments)
+        assert all(B < A2 for (_, B), (A2, _) in zip(segments, segments[1:]))
+        for A, B in segments:
+            steps = [P(t + 1) - P(t) for t in range(A, B)]
+            assert all(d > 0 for d in steps) or all(d < 0 for d in steps)
+        # Cauchy's bound, |t| <= 1 + max|c_i| + max(|lo|, |hi|) with |c_n| >= 1
+        limit = 1 + max(map(abs, low)) + max(abs(lo), abs(hi))
+        assert flatten(segments) == [t for t in range(-limit, limit + 1)
+                                     if lo <= P(t) <= hi]
 
     @given(small_polys, st.integers(min_value=-10 ** 6, max_value=10 ** 6),
            st.integers(min_value=-10 ** 6, max_value=10 ** 6))
@@ -115,13 +128,8 @@ class TestPreimageRange:
         tops = [max(abs(P.coeffs[0] - s), *map(abs, P.coeffs[1:-1]), 0)
                 for s in (lo, hi)]
         cauchy = 1 + -(-max(tops) // lead)
-        try:
-            got = preimage_range(P, lo, hi, 10 ** 4)
-        except WindowCapError as err:
-            assert err.bound <= cauchy
-            return
-        assert got == [t for t in range(-cauchy, cauchy + 1)
-                       if lo <= P(t) <= hi]
+        assert flatten(preimage_range(P, lo, hi)) == [
+            t for t in range(-cauchy, cauchy + 1) if lo <= P(t) <= hi]
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("lo,hi", [
@@ -129,7 +137,7 @@ class TestPreimageRange:
         (-10 ** 5, 10 ** 5), (-10 ** 5, -5), (-30, 40),
     ])
     def test_monomial_matches_exact_window(self, k, lo, hi):
-        """t**k gets the same answer as from its exact kth-root window."""
-        want = [t for a, b in kth_power_t_window(k, lo, hi)
-                for t in range(a, b + 1)]
-        assert preimage_range(Poly.monomial(k), lo, hi, 10 ** 7) == want
+        """t**k gets the same t as from its exact kth-root window; the
+        segments differ, since even k is cut at 0."""
+        assert (flatten(preimage_range(Poly.monomial(k), lo, hi))
+                == flatten(kth_power_t_window(k, lo, hi)))
