@@ -91,35 +91,16 @@ def _count_classes(roots: tuple[int, ...], q: int, A: int, B: int) -> int:
             + bisect_right(roots, B % q) - bisect_right(roots, (A - 1) % q))
 
 
-def _residue_stride_counts(k: int, prog: Progression,
-                           segments: list[tuple[int, int]]) -> tuple[int, int]:
-    """Counts via residue classes of t**k = a (mod q).
+def _residue_stride_counts(k: int, prog: Progression, A: int, B: int) -> int:
+    """Number of t in [A, B] with t**k = a (mod q), via residue classes.
 
     The congruence alone is necessary but not sufficient; restricting each
-    class to segments, the exact kth-root window of [lo, hi], is what pins
-    the index i into [1, N].  The roots come sorted, so each segment is
-    counted by rank (_count_classes), not root by root.
+    class to [A, B], an interval of the exact kth-root window of [lo, hi],
+    is what pins the index i into [1, N].  The roots come sorted, so the
+    interval is counted by rank (_count_classes), not root by root.
     """
     roots = kth_roots_mod(prog.a % prog.q, k, prog.q).residues
-    if not roots:
-        return 0, 0
-    ct = sum(_count_classes(roots, prog.q, A, B) for A, B in segments)
-    if k % 2 == 1:
-        return ct, ct
-    if not segments:
-        return 0, 0
-    A, B = segments[-1]  # the nonnegative side; values repeat under t -> -t
-    return ct, _count_classes(roots, prog.q, max(A, 0), B)
-
-
-def _walk_length(k: int, segments: list[tuple[int, int]]) -> int:
-    """Values of t that kernels.interval_walk visits: t >= 0 only for even k."""
-    if k % 2 == 1:
-        return sum(B - A + 1 for A, B in segments)
-    if not segments:
-        return 0
-    A, B = segments[-1]
-    return B - max(A, 0) + 1
+    return _count_classes(roots, prog.q, A, B) if roots else 0
 
 
 def _root_bound(k: int, a: int, p: int, e: int) -> int:
@@ -166,7 +147,7 @@ def _residue_cost(k: int, a: int, q: int, n_segments: int) -> int | None:
 
 
 def _choose_algorithm(k: int, prog: Progression,
-                      segments: list[tuple[int, int]]) -> str:
+                      segments: list[tuple[int, int]], walk: int) -> str:
     """Walk windows of at most 64 t; stride windows wider than q.  In
     between, factor q only when q <= span**2 (so factoring costs at most
     about the walk) or the walk exceeds WALK_BUDGET (so it would be refused;
@@ -178,7 +159,6 @@ def _choose_algorithm(k: int, prog: Progression,
         return "interval"
     if span > prog.q:
         return "residue"
-    walk = _walk_length(k, segments)
     if prog.q > span * span and walk <= WALK_BUDGET:
         return "interval"
     cost = _residue_cost(k, prog.a, prog.q, len(segments))
@@ -225,15 +205,24 @@ def count_powers_in_ap(k: int, prog: Progression, with_solutions: bool = False,
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     segments = kth_power_t_window(k, prog.lo, prog.hi)
+    # Both algorithms count one interval [A, B]: the window itself for odd
+    # k, its t >= 0 side for even k, where -t has the same value as t.
+    A, B = segments[-1] if segments else (1, 0)
+    even = k % 2 == 0
+    if even:
+        A = max(A, 0)
+    walk = max(B - A + 1, 0)
     if algorithm == "auto":
-        algorithm = _choose_algorithm(k, prog, segments)
+        algorithm = _choose_algorithm(k, prog, segments, walk)
     if algorithm == "interval":
-        _check_walk(_walk_length(k, segments))
-        ct, cv = kernels.interval_walk(k, prog.a, prog.q, segments)
+        _check_walk(walk)
+        cv = kernels.interval_walk(k, prog.a, prog.q, A, B)
     elif algorithm == "residue":
-        ct, cv = _residue_stride_counts(k, prog, segments)
+        cv = _residue_stride_counts(k, prog, A, B)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    # t = 0 is its own mirror
+    ct = 2 * cv - (A == 0 <= B and prog.a % prog.q == 0) if even else cv
     solutions = None
     if with_solutions:
         _check_solution_cap(ct)

@@ -50,8 +50,9 @@ def is_prime(n: int) -> bool:
     """Miller-Rabin primality test, deterministic for n < 3.3e24 (the 13
     prime bases 2..41).
 
-    Above that limit a fixed extended witness set is used; no known
-    composite passes it, but the guarantee is heuristic there.
+    Above that limit the 22 prime bases 2..79 are used, and the answer is
+    heuristic: composites that pass them exist, such as Arnault's (1995)
+    strong pseudoprimes to every prime base below 200.
     """
     if n < 2:
         return False

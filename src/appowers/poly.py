@@ -55,8 +55,6 @@ def parse_poly(text: str) -> Poly:
         coeffs = tuple(int(part.strip()) for part in text.split(","))
     except ValueError as exc:
         raise ValueError(f"malformed polynomial string {text!r}") from exc
-    if not coeffs:
-        raise ValueError("empty polynomial string")
     return Poly(coeffs)
 
 
