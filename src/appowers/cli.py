@@ -15,7 +15,8 @@ import json
 import sys
 import time
 
-from .counting import CountReport, Progression, count_poly_in_ap
+from .counting import (CountReport, Progression, count_poly_in_ap,
+                       count_powers_in_ap)
 from .errors import InternalInvariantError
 from .modroots import kth_roots_mod
 from .poly import Poly, parse_poly
@@ -126,10 +127,13 @@ def _report_payload(rep: CountReport) -> dict:
 
 
 def _run_count(args) -> dict:
-    rep = count_poly_in_ap(_resolve_poly(args),
-                           Progression(args.a, args.q, args.N),
-                           with_solutions=args.solutions,
-                           algorithm=args.algorithm)
+    prog = Progression(args.a, args.q, args.N)
+    opts = {"with_solutions": args.solutions, "algorithm": args.algorithm}
+    if args.k is not None and args.poly is None:
+        # not through _resolve_poly: a dense t**k would hold k+1 coefficients
+        rep = count_powers_in_ap(args.k, prog, **opts)
+    else:
+        rep = count_poly_in_ap(_resolve_poly(args), prog, **opts)
     return _report_payload(rep)
 
 

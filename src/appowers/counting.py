@@ -177,18 +177,21 @@ def _check_solution_cap(count_t: int) -> None:
                               f"cap {SOLUTION_CAP}")
 
 
-def _power_solutions(k: int, prog: Progression,
-                     segments: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """All (t, i) with t**k = a + i*q, sorted by t; segments is the t-window."""
-    roots = kth_roots_mod(prog.a % prog.q, k, prog.q).residues
-    out = []
-    for A, B in segments:
-        for r in roots:
-            first = A + (r - A) % prog.q
-            for t in range(first, B + 1, prog.q):
-                out.append((t, (t ** k - prog.a) // prog.q))
-    out.sort()
-    return tuple(out)
+def _power_solutions(k: int, prog: Progression, A: int, B: int,
+                     walked: bool) -> tuple[tuple[int, int], ...]:
+    """All (t, i) with t**k = a + i*q, sorted by t.  The hits of [A, B] are
+    listed by the algorithm that counted them: by walking [A, B] if walked,
+    else from the roots of t**k = a (mod q); for even k they are mirrored
+    to -t, as count_powers_in_ap counts them."""
+    a, q = prog.a, prog.q
+    if walked:
+        ts = [t for t in range(A, B + 1) if (t ** k - a) % q == 0]
+    else:
+        ts = sorted(t for r in kth_roots_mod(a % q, k, q).residues
+                    for t in range(A + (r - A) % q, B + 1, q))
+    if k % 2 == 0:
+        ts = [-t for t in reversed(ts) if t] + ts
+    return tuple((t, (t ** k - a) // q) for t in ts)
 
 
 def count_powers_in_ap(k: int, prog: Progression, with_solutions: bool = False,
@@ -200,7 +203,9 @@ def count_powers_in_ap(k: int, prog: Progression, with_solutions: bool = False,
     and in between whichever _choose_algorithm estimates is cheaper.  A walk
     longer than WALK_BUDGET, a solution list longer than SOLUTION_CAP, and
     more roots of t**k = a (mod q) than modroots.ROOT_BUDGET raise
-    CellBudgetError before any of it is done.
+    CellBudgetError before any of it is done.  The solutions are listed by
+    the algorithm that counted them, so a cell that can be counted can be
+    listed up to SOLUTION_CAP.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -226,7 +231,7 @@ def count_powers_in_ap(k: int, prog: Progression, with_solutions: bool = False,
     solutions = None
     if with_solutions:
         _check_solution_cap(ct)
-        solutions = _power_solutions(k, prog, segments)
+        solutions = _power_solutions(k, prog, A, B, algorithm == "interval")
         if len(solutions) != ct:
             raise InternalInvariantError(
                 f"solution list length {len(solutions)} != count_t {ct} "

@@ -117,23 +117,15 @@ def extract_witness(P: Poly, prog: Progression, t: int, t0: int) -> Witness:
 
 
 def _check_witnesses(P: Poly, prog: Progression,
-                     sols: tuple[tuple[int, int], ...], tops: dict[int, int],
-                     quotients: dict[int, tuple[int, ...]]) -> int:
-    """Check one cell's (t, i) solutions, sorted by t, and certify through
-    _split, as extract_witness would, each pair that no earlier witnessed
-    cell of the same (P, q) certified; return the number of pairs.  The
-    pairs go to _split one t0 at a time, with all of that t0's partners.
+                     sols: tuple[tuple[int, int], ...]) -> None:
+    """Check a class's (t, i) solutions, sorted by t, and certify every pair
+    through _split, as extract_witness would: one call per t0, with all the
+    t < t0 as its partners.
 
-    Every (t, i) is checked against P, and the t must increase strictly.
-    Then i - i0 = (P(t) - P(t0)) / q and |i - i0| <= N - 1 hold whatever a
-    is, so a pair's certificate depends only on (P, q, t, t0), and a pair
-    that lies in an earlier witnessed cell of its class a mod q has nothing
-    left to check.  Cells must arrive in nondecreasing a: then every earlier
-    cell of the class starts at or below this one, and a pair lies in one of
-    them iff both its values are at most ``tops[a % q]``, the largest upper
-    end a+N*q among them, which this call then raises to this cell's.
-    ``quotients`` holds the difference quotient at each t0, built on first
-    use; the partners t of a t0 are the t < t0 still to certify.
+    Every (t, i) is checked against P and prog, and the t must increase
+    strictly.  A pair's certificate depends only on (P, q, t, t0), and each
+    t lies in one class a mod q, so certifying each class's list once
+    certifies each pair once.
     """
     for t, i in sols:
         if prog.index_of(P(t)) != i:
@@ -142,22 +134,10 @@ def _check_witnesses(P: Poly, prog: Progression,
     if any(t >= u for (t, _), (u, _) in zip(sols, sols[1:])):
         raise InternalInvariantError(
             f"solutions of {prog} are not strictly increasing in t")
-    a, q, N = prog.a, prog.q, prog.N
-    top = tops.get(a % q, a)
-    seen = (top - a) // q  # terms i <= seen were in an earlier cell
-    fresh = []  # the solutions so far with i > seen
-    for j, (t0, i0) in enumerate(sols):
-        new = i0 > seen
-        partners = sols[:j] if new else fresh
-        if partners:
-            Q = quotients.get(t0)
-            if Q is None:
-                Q = quotients[t0] = difference_quotient(P, t0).coeffs[::-1]
-            _split(Q, q, N, t0, i0, partners)
-        if new:
-            fresh.append((t0, i0))
-    tops[a % q] = max(top, a + N * q)
-    return math.comb(len(sols), 2)
+    for j in range(1, len(sols)):
+        t0, i0 = sols[j]
+        _split(difference_quotient(P, t0).coeffs[::-1], prog.q, prog.N, t0,
+               i0, sols[:j])
 
 
 @dataclass
@@ -226,12 +206,13 @@ def _sweep_task(report: SweepReport, k: int, q: int) -> None:
     running maxima by cross-multiplication; a Fraction is built only for a
     new maximum.  The second pass witnesses the cells with
     2 <= count_t <= WITNESS_PAIR_CAP, one class a mod q at a time: one
-    solution list covers the hull of the class's witnessed cells, and each
-    such cell, in increasing (a, N) as _check_witnesses needs, gets the
-    solutions whose index falls in its own [1, N].  The hull of a class's
-    witnessed cells is at most two terms longer than the longest of them,
-    because in window mode the cells of a class start within 2q of each
-    other, so a large cell that is not witnessed is never listed.
+    solution list covers the hull of the class's witnessed cells, and
+    _check_witnesses certifies every pair of it; each such cell then checks
+    that the list has count_t solutions with index in its own [1, N].  The
+    hull of a class's witnessed cells is at most two terms longer than the
+    longest of them, because in window mode the cells of a class start
+    within 2q of each other, so a large cell that is not witnessed is never
+    listed.
     """
     dk = divisor_count(q) ** (k - 1)
     roots = {N: ikth_root_ceil(N, k) for N in report.N_set}
@@ -269,23 +250,20 @@ def _sweep_task(report: SweepReport, k: int, q: int) -> None:
                 report.rows.append((k, q, a, N, rep.count_t, rep.count_values,
                                     bound, rep.count_t // g, den // g))
     P = Poly.monomial(k)
-    tops: dict[int, int] = {}
-    quotients: dict[int, tuple[int, ...]] = {}
     for cells in witnessed.values():
         a0 = cells[0][0].a  # the least a of the class
         hi = max(prog.hi for prog, _ in cells)
-        sols = count_powers_in_ap(k, Progression(a0, q, (hi - a0) // q),
-                                  with_solutions=True).solutions
+        hull = Progression(a0, q, (hi - a0) // q)
+        sols = count_powers_in_ap(k, hull, with_solutions=True).solutions
+        _check_witnesses(P, hull, sols)
         for prog, count_t in cells:
             shift = (prog.a - a0) // q
-            mine = tuple((t, i - shift) for t, i in sols
-                         if shift < i <= shift + prog.N)
-            if len(mine) != count_t:
+            n = sum(shift < i <= shift + prog.N for _, i in sols)
+            if n != count_t:
                 raise InternalInvariantError(
-                    f"{len(mine)} solutions of {prog} in the list of its "
-                    f"class, count_t is {count_t}")
-            report.witness_pairs += _check_witnesses(P, prog, mine, tops,
-                                                     quotients)
+                    f"{n} solutions of {prog} in the list of its class, "
+                    f"count_t is {count_t}")
+            report.witness_pairs += math.comb(count_t, 2)
 
 
 def verify_bound_sweep(k_set, q_max: int, N_set, a_mode: str = "window",
@@ -301,9 +279,9 @@ def verify_bound_sweep(k_set, q_max: int, N_set, a_mode: str = "window",
     checked after all its cells are counted (see _sweep_task), so a witness
     failure raises after any bound violation of the same (k, q).  Every
     solution pair of a cell with 2 <= count_t <= WITNESS_PAIR_CAP gets its
-    witness checked, once per (k, q): see _check_witnesses.  witness_pairs
-    counts each pair in every such cell that contains it.  ``threads`` is
-    accepted and ignored.
+    witness checked once, as a pair of the one solution list of its class
+    a mod q: see _sweep_task.  witness_pairs counts each pair in every such
+    cell that contains it.  ``threads`` is accepted and ignored.
     """
     k_set = tuple(sorted(set(int(k) for k in k_set)))
     N_set = tuple(sorted(set(int(N) for N in N_set)))

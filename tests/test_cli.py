@@ -95,6 +95,9 @@ class TestCount:
         ("count", "--poly", "1,x", "--a", "1", "--q", "2", "--N", "5"),
         ("count", "--k", "1e3", "--a", "1", "--q", "2", "--N", "5"),
         ("count", "--a", "1", "--q", "2", "--N", "5"),  # neither --k nor --poly
+        ("count", "--k", "2", "--poly", "0,0,1", "--a", "1", "--q", "2",
+         "--N", "5"),
+        ("count", "--k", "0", "--a", "1", "--q", "2", "--N", "5"),
         # --algorithm picks a t**k algorithm, so it refuses any other P
         ("count", "--poly", "1,0,2", "--a", "1", "--q", "2", "--N", "50",
          "--algorithm", "residue"),
@@ -104,6 +107,14 @@ class TestCount:
     def test_input_errors_exit_1(self, capsys, argv):
         code, _, _ = run_cli(capsys, *argv)
         assert code == 1
+
+    def test_huge_k_needs_no_dense_monomial(self, capsys):
+        # t in [-1, 1]: only t**k for three t, never k + 1 coefficients
+        start = time.perf_counter()
+        env = run_json(capsys, "count", "--k", "10000000", "--a", "0",
+                       "--q", "1", "--N", "10")
+        assert time.perf_counter() - start < 0.5
+        assert env["result"] == {"count_t": 2, "count_values": 1}
 
     @pytest.mark.parametrize("argv,want", [
         # 2^31 | q, and a prime q over 10^7: roots in polylog time

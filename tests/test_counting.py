@@ -182,6 +182,18 @@ class TestChooser:
                             lambda *args: 4)  # the walk's real answer
         assert count_powers_in_ap(6, prog) == CountReport(8, 4)
 
+    def test_many_roots_are_listed_by_the_walk(self):
+        # the walk that counted the cell lists its solutions too, instead of
+        # refusing the 6**8 roots the listing would otherwise build
+        q = 7 * 13 * 19 * 31 * 37 * 43 * 61 * 67
+        prog = Progression(1 - q, q, (2 * math.isqrt(q)) ** 6 // q)
+        rep = count_powers_in_ap(6, prog, with_solutions=True)
+        assert (rep.count_t, rep.count_values) == (8, 4)
+        assert [t for t, _ in rep.solutions] == sorted(
+            -t for t, _ in rep.solutions)
+        for t, i in rep.solutions:
+            assert t ** 6 == prog.a + i * q and 1 <= i <= prog.N
+
     def test_hard_step_is_walked_without_factoring(self, monkeypatch):
         # q is a product of two 20-digit primes and the window is ~1000 t
         # wide, so q > span**2 and auto must walk without factoring q.
@@ -201,6 +213,8 @@ class TestChooser:
         # t0**2 + q = (t0 + d)**2 needs d * (2*t0 + d) = q, so d divides
         # p1 * p2: d = 1 would need q = 2*t0 + 1, and d >= p1 gives more than q
         assert (rep.count_t, rep.count_values) == (2, 1)
+        rep = count_powers_in_ap(2, prog, with_solutions=True)
+        assert rep.solutions == ((-t0, 1), (t0, 1))
 
     def test_smooth_step_over_the_walk_budget_is_strided(self, monkeypatch):
         # q is the product of the primes below 60 and the window is ~5e7 t

@@ -199,31 +199,42 @@ class TestSweep:
     def test_each_pair_certified_once(self, monkeypatch, a_mode):
         # pairs recur in (a, N) and (a + q, N) and in (a, N) for larger N
         certified = []
-        real = theorem._split
+        real_split = theorem._split
 
         def spy(Q, q, N, t0, i0, partners):
             # len(Q) == k for t**k
             certified.extend((len(Q), q, t, t0) for t, _ in partners)
-            return real(Q, q, N, t0, i0, partners)
+            return real_split(Q, q, N, t0, i0, partners)
+
+        class_pairs = set()
+        real_count = theorem.count_powers_in_ap
+
+        def lists(k, prog, with_solutions=False, **kwargs):
+            rep = real_count(k, prog, with_solutions=with_solutions, **kwargs)
+            if with_solutions:
+                class_pairs.update((k, prog.q, t, t0) for (t, _), (t0, _) in
+                                   itertools.combinations(rep.solutions, 2))
+            return rep
 
         monkeypatch.setattr(theorem, "_split", spy)
+        monkeypatch.setattr(theorem, "count_powers_in_ap", lists)
         rep = verify_bound_sweep([2, 3], 12, [10, 30, 100], a_mode=a_mode,
                                  collect_rows=True)
         want = set()
         for k, q, a, N, ct, *_ in rep.rows:
             if 2 <= ct <= theorem.WITNESS_PAIR_CAP:
-                sols = count_powers_in_ap(k, Progression(a, q, N),
-                                          with_solutions=True).solutions
+                sols = real_count(k, Progression(a, q, N),
+                                  with_solutions=True).solutions
                 want.update((k, q, t, t0) for (t, _), (t0, _) in
                             itertools.combinations(sols, 2))
         assert len(certified) == len(set(certified))
-        assert set(certified) == want
+        assert want <= set(certified) <= class_pairs
         assert len(want) < rep.witness_pairs
 
     def test_pair_first_in_a_later_cell_is_certified(self, monkeypatch):
         # class 1 mod 24 has the cells a = -23 (values 1..97) and a = 1
         # (values 25..121); (7, 11), with values 49 and 121, is only in the
-        # second, so its quotient at t0 = 11 is first used there
+        # second, and the one list of the class certifies it once
         certified = []
         real_split = theorem._split
 
@@ -267,11 +278,13 @@ class TestSweep:
     # witnessed cell (2, 24, 1, 5), so its solutions come from the one list
     # of that class, Progression(-23, 24, 6), which adds (-11, 6), (11, 6).
     CLASS_CALL = (2, Progression(-23, 24, 6))
+    CLASS = r"Progression\(a=-23, q=24, N=6\)"
     CELL = r"Progression\(a=-23, q=24, N=5\)"
 
     def spoil_class_list(self, monkeypatch, fault):
         """Route the class list of (2, 24, -23, 5) through fault, which maps
-        each (t, i) to its replacement; return the spoiled calls made."""
+        each (t, i) to its replacement, or to None to drop it; return the
+        spoiled calls made."""
         real = theorem.count_powers_in_ap
         spoiled_calls = []
 
@@ -279,8 +292,9 @@ class TestSweep:
             rep = real(k, prog, with_solutions=with_solutions, **kwargs)
             if with_solutions and (k, prog) == self.CLASS_CALL:
                 spoiled_calls.append(prog)
+                sols = (fault(t, i) for t, i in rep.solutions)
                 rep = CountReport(rep.count_t, rep.count_values,
-                                  tuple(fault(t, i) for t, i in rep.solutions))
+                                  tuple(s for s in sols if s is not None))
             return rep
 
         monkeypatch.setattr(theorem, "count_powers_in_ap", spoiled)
@@ -294,7 +308,7 @@ class TestSweep:
     ], ids=["one_index_off_by_one", "not_a_solution", "every_index_shifted"])
     def test_bad_solution_is_caught(self, monkeypatch, capsys, fault):
         spoiled_calls = self.spoil_class_list(monkeypatch, fault)
-        with pytest.raises(InternalInvariantError, match=self.CELL):
+        with pytest.raises(InternalInvariantError, match=self.CLASS):
             verify_bound_sweep([2], 24, [5])
         assert spoiled_calls == [self.CLASS_CALL[1]]
         assert main(["verify", "--k-set", "2", "--q-max", "24",
@@ -302,45 +316,52 @@ class TestSweep:
         assert capsys.readouterr().out == ""
 
     def test_repeated_solution_is_caught(self, monkeypatch):
-        # every (t, i) is a member and the cell's slice has count_t entries,
-        # but (7, 3) is missing: pairs with t = 7 would never be certified
-        # in later cells
+        # every (t, i) is a member and each cell has count_t entries in its
+        # [1, N], but (7, 3) is missing: pairs with t = 7 would never be
+        # certified
         spoiled_calls = self.spoil_class_list(
             monkeypatch, lambda t, i: (5, 2) if t == 7 else (t, i))
         with pytest.raises(InternalInvariantError,
-                           match=self.CELL + " are not strictly increasing"):
+                           match=self.CLASS + " are not strictly increasing"):
             verify_bound_sweep([2], 24, [5])
         assert spoiled_calls == [self.CLASS_CALL[1]]
 
     def test_lost_solution_is_caught(self, monkeypatch):
-        # (7, 3) dropped from the class list leaves the cell one short
+        # (7, 3) dropped from the class list leaves the cell one short, and
+        # what is left is a valid list
         self.spoil_class_list(monkeypatch,
-                              lambda t, i: (7, 7) if t == 7 else (t, i))
+                              lambda t, i: None if t == 7 else (t, i))
         with pytest.raises(InternalInvariantError,
                            match="5 solutions of " + self.CELL):
             verify_bound_sweep([2], 24, [5])
 
     @pytest.mark.parametrize("a_mode", ["window", "residues"])
     def test_slices_match_cell_solutions(self, monkeypatch, a_mode):
-        # each witnessed cell's slice of its class list is exactly the list
-        # its own with_solutions call makes
-        seen = []
-        real = theorem._check_witnesses
+        # each witnessed cell's index range of its class list, shifted by
+        # the cell's offset, is exactly the list its own with_solutions
+        # call makes
+        lists = {}
+        real = theorem.count_powers_in_ap
 
-        def spy(P, prog, sols, tops, quotients):
-            seen.append((P.degree, prog, sols))
-            return real(P, prog, sols, tops, quotients)
+        def spy(k, prog, with_solutions=False, **kwargs):
+            rep = real(k, prog, with_solutions=with_solutions, **kwargs)
+            if with_solutions:
+                lists[k, prog.q, prog.a % prog.q] = (prog.a, rep.solutions)
+            return rep
 
-        monkeypatch.setattr(theorem, "_check_witnesses", spy)
+        monkeypatch.setattr(theorem, "count_powers_in_ap", spy)
         rep = verify_bound_sweep([2, 3, 4], 12, [10, 30, 100], a_mode=a_mode,
                                  collect_rows=True)
-        for k, prog, sols in seen:
-            assert sols == count_powers_in_ap(k, prog,
-                                              with_solutions=True).solutions
-        # class by class, so not in (a, N) order within a (k, q)
-        assert sorted((k, prog.q, prog.a, prog.N) for k, prog, _ in seen) == [
-            row[:4] for row in rep.rows
-            if 2 <= row[4] <= theorem.WITNESS_PAIR_CAP]
+        cells = 0
+        for k, q, a, N, ct, *_ in rep.rows:
+            if 2 <= ct <= theorem.WITNESS_PAIR_CAP:
+                a0, sols = lists[k, q, a % q]
+                shift = (a - a0) // q
+                assert tuple((t, i - shift) for t, i in sols
+                             if shift < i <= shift + N) == real(
+                    k, Progression(a, q, N), with_solutions=True).solutions
+                cells += 1
+        assert cells > len(lists)
 
     def test_one_solution_list_per_class(self, monkeypatch):
         lists = []
