@@ -4,13 +4,14 @@ Two independent algorithms back the monomial count: an interval walk over the
 kth-root window of the value interval, and residue-stride counting that solves
 t**k = a (mod q) and counts lattice points per residue class arithmetically.
 They cross-check each other in the test suite.  ``auto`` picks between them by
-an estimate of each one's cost in walked t.
+an estimate of each one's cost in walked t.  count_power_cells counts many
+cells of one (k, q) from one interval walk shared among them.
 """
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
 
@@ -24,6 +25,7 @@ __all__ = [
     "Progression",
     "CountReport",
     "count_powers_in_ap",
+    "count_power_cells",
     "count_poly_in_ap",
 ]
 
@@ -31,6 +33,12 @@ __all__ = [
 WALK_BUDGET = 10 ** 7
 # Largest count_t whose solution list is built.
 SOLUTION_CAP = 10 ** 6
+# Longest shared walk of count_power_cells, in walked t per cell counted.
+# A walked t costs about 0.3 us and keeps one list entry; a
+# count_powers_in_ap call costs 5-10 us (k = 2..4).  So the walk stays
+# cheaper than counting the cells one by one, and its lists within a few
+# times the size of the result.
+SHARED_WALK_PER_CELL = 8
 
 
 @dataclass(frozen=True)
@@ -194,6 +202,18 @@ def _power_solutions(k: int, prog: Progression, A: int, B: int,
     return tuple((t, (t ** k - a) // q) for t in ts)
 
 
+def _counted_window(k: int, lo: int,
+                    hi: int) -> tuple[list[tuple[int, int]], int, int]:
+    """kth_power_t_window(k, lo, hi) and the one interval [A, B] of it that
+    is counted: the window itself for odd k, its t >= 0 side for even k,
+    where -t has the same value as t.  An empty window gives B < A."""
+    segments = kth_power_t_window(k, lo, hi)
+    A, B = segments[-1] if segments else (1, 0)
+    if k % 2 == 0:
+        A = max(A, 0)
+    return segments, A, B
+
+
 def count_powers_in_ap(k: int, prog: Progression, with_solutions: bool = False,
                        algorithm: str = "auto") -> CountReport:
     """Exact counts of kth powers t**k among the progression's terms.
@@ -209,13 +229,8 @@ def count_powers_in_ap(k: int, prog: Progression, with_solutions: bool = False,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    segments = kth_power_t_window(k, prog.lo, prog.hi)
-    # Both algorithms count one interval [A, B]: the window itself for odd
-    # k, its t >= 0 side for even k, where -t has the same value as t.
-    A, B = segments[-1] if segments else (1, 0)
+    segments, A, B = _counted_window(k, prog.lo, prog.hi)
     even = k % 2 == 0
-    if even:
-        A = max(A, 0)
     walk = max(B - A + 1, 0)
     if algorithm == "auto":
         algorithm = _choose_algorithm(k, prog, segments, walk)
@@ -237,6 +252,48 @@ def count_powers_in_ap(k: int, prog: Progression, with_solutions: bool = False,
                 f"solution list length {len(solutions)} != count_t {ct} "
                 f"for k={k}, {prog}")
     return CountReport(ct, cv, solutions)
+
+
+def count_power_cells(k: int, q: int,
+                      cells: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """(count_t, count_values) of t**k in each progression
+    Progression(a, q, N) for (a, N) in cells, in order, as
+    count_powers_in_ap would count them one by one.
+
+    Every cell's values lie in [min a + q, max a + N*q], so one interval walk
+    over that interval's kth-root window (its t >= 0 side for even k) bins
+    every t**k by its class mod q, ascending; a cell's count_values is then
+    two bisects in the list of its class a mod q, and count_t follows by
+    count_powers_in_ap's even-k mirror.  A window longer than
+    SHARED_WALK_PER_CELL t per cell, or than WALK_BUDGET, is not walked:
+    each cell is then counted by count_powers_in_ap.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not cells:
+        return []
+    if q < 1 or min(N for _, N in cells) < 1:
+        raise ValueError("step q and every length N must be >= 1")
+    _, A, B = _counted_window(k, min(a for a, _ in cells) + q,
+                              max(a + N * q for a, N in cells))
+    even = k % 2 == 0
+    walk = max(B - A + 1, 0)
+    if walk > min(SHARED_WALK_PER_CELL * len(cells), WALK_BUDGET):
+        reps = (count_powers_in_ap(k, Progression(a, q, N)) for a, N in cells)
+        return [(rep.count_t, rep.count_values) for rep in reps]
+    classes: dict[int, list[int]] = {}
+    for t in range(A, B + 1):
+        v = t ** k
+        classes.setdefault(v % q, []).append(v)
+    out = []
+    for a, N in cells:
+        r = a % q
+        lo, hi = a + q, a + N * q
+        values = classes.get(r, ())
+        cv = bisect_right(values, hi) - bisect_left(values, lo)
+        # t = 0 is its own mirror
+        out.append((2 * cv - (lo <= 0 <= hi and r == 0) if even else cv, cv))
+    return out
 
 
 def _segment_hits(P: Poly, a: int, q: int, A: int, B: int):

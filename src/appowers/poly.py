@@ -36,6 +36,14 @@ class Poly:
         return self.degree >= 1 and self.coeffs == (0,) * self.degree + (1,)
 
     @classmethod
+    def _trimmed(cls, coeffs: tuple[int, ...]) -> "Poly":
+        """A Poly of a tuple of ints whose last entry is nonzero, without
+        __post_init__'s re-normalisation."""
+        P = object.__new__(cls)
+        object.__setattr__(P, "coeffs", coeffs)
+        return P
+
+    @classmethod
     def monomial(cls, k: int) -> "Poly":
         if k < 0:
             raise ValueError(f"monomial degree must be >= 0, got {k}")
@@ -71,7 +79,8 @@ def difference_quotient(P: Poly, t0: int) -> Poly:
         acc = acc * t0 + c
         row.append(acc)
     # row is the synthetic-division tableau top-down; last entry is P(t0).
-    return Poly(tuple(reversed(row[:-1])))
+    # Its first entry is P's nonzero leading coefficient, so Q is trimmed.
+    return Poly._trimmed(tuple(reversed(row[:-1])))
 
 
 def _root_bound(coeffs: tuple[int, ...], shift: int) -> int:

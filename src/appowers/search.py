@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counting import CountReport, Progression, count_powers_in_ap
+from .counting import (CountReport, Progression, count_power_cells,
+                       count_powers_in_ap)
 from .errors import CellBudgetError
 
 __all__ = ["SearchRecord", "extremal_search", "rudin_count",
@@ -48,9 +49,11 @@ def extremal_search(k: int, N: int, q_max: int, a_window: int = 0,
                     cell_budget: int = DEFAULT_CELL_BUDGET) -> SearchRecord:
     """Exhaustive maximum of count_values over the parametrized cell grid.
 
-    Visits the cells serially and reports every tying cell, sorted by
-    (q, a).  Exceeds the cell budget -> CellBudgetError before any
-    evaluation.  ``threads`` is accepted and ignored.
+    Counts the cells of each q with one counting.count_power_cells call (one
+    shared walk, or each cell on its own where that walk would be long) and
+    reports every tying cell, sorted by (q, a).  Exceeds the cell budget ->
+    CellBudgetError before any evaluation.  ``threads`` is accepted and
+    ignored.
     """
     if k < 2:
         raise ValueError(f"extremal search needs k >= 2, got {k}")
@@ -63,14 +66,13 @@ def extremal_search(k: int, N: int, q_max: int, a_window: int = 0,
     best = -1
     cells: list[tuple[int, int]] = []
     for q in range(1, q_max + 1):
-        for r in range(q):
-            for s in range(-a_window, a_window + 1):
-                a = r + s * q
-                cv = count_powers_in_ap(k, Progression(a, q, N)).count_values
-                if cv > best:
-                    best, cells = cv, [(q, a)]
-                elif cv == best:
-                    cells.append((q, a))
+        grid = [(r + s * q, N) for r in range(q)
+                for s in range(-a_window, a_window + 1)]
+        for (a, _), (_, cv) in zip(grid, count_power_cells(k, q, grid)):
+            if cv > best:
+                best, cells = cv, [(q, a)]
+            elif cv == best:
+                cells.append((q, a))
     cells.sort()
     return SearchRecord(k=k, N=N, q_max=q_max, a_window=a_window,
                         best_count_values=best, best_cells=tuple(cells),

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import Progression, count_powers_in_ap
+from .counting import Progression, count_power_cells, count_powers_in_ap
 from .errors import (BoundViolationError, CellBudgetError,
                      InternalInvariantError)
 from .intkernel import divisor_count, ikth_root_ceil
@@ -201,14 +201,16 @@ def _float_ratio(c: int, d: int, N: int, k: int) -> float:
 def _sweep_task(report: SweepReport, k: int, q: int) -> None:
     """Check the cells of one (k, q) pair, folding them into report.
 
-    The first pass counts every cell in increasing (a, N), checks its bound,
-    folds its ratios and appends its row.  The ratios are compared with the
+    The first pass counts every cell with one counting.count_power_cells
+    call, then in increasing (a, N) checks each cell's bound, folds its
+    ratios and appends its row.  The ratios are compared with the
     running maxima by cross-multiplication; a Fraction is built only for a
     new maximum.  The second pass witnesses the cells with
     2 <= count_t <= WITNESS_PAIR_CAP, one class a mod q at a time: one
     solution list covers the hull of the class's witnessed cells, and
     _check_witnesses certifies every pair of it; each such cell then checks
-    that the list has count_t solutions with index in its own [1, N].  The
+    that the list has count_t solutions with index in its own [1, N], which
+    holds the first pass's count against a listing made apart from it.  The
     hull of a class's witnessed cells is at most two terms longer than the
     longest of them, because in window mode the cells of a class start
     within 2q of each other, so a large cell that is not witnessed is never
@@ -217,38 +219,38 @@ def _sweep_task(report: SweepReport, k: int, q: int) -> None:
     dk = divisor_count(q) ** (k - 1)
     roots = {N: ikth_root_ceil(N, k) for N in report.N_set}
     witnessed: dict[int, list[tuple[Progression, int]]] = {}  # by a % q
-    for a in _a_values(q, report.a_mode):
-        for N in report.N_set:
-            prog = Progression(a, q, N)
-            rep = count_powers_in_ap(k, prog)
-            report.cells += 1
-            root = roots[N]
-            den = dk * root
-            bound = bound_constant(k) * den
-            if rep.count_t > bound:
-                raise BoundViolationError(
-                    f"count_t={rep.count_t} exceeds bound {bound} at "
-                    f"cell k={k}, q={q}, a={a}, N={N}")
-            cell = (k, q, a, N)
-            best = report.max_ratio
-            if rep.count_t * best.denominator > best.numerator * den:
-                report.max_ratio = Fraction(rep.count_t, den)
-                report.max_ratio_cell = cell
-            report.max_ratio_float = max(report.max_ratio_float,
-                                         _float_ratio(rep.count_t, dk, N, k))
-            best = report.max_value_ratio
-            if rep.count_values * best.denominator > best.numerator * root:
-                report.max_value_ratio = Fraction(rep.count_values, root)
-                report.max_value_ratio_cell = cell
-            report.max_value_ratio_float = max(
-                report.max_value_ratio_float,
-                _float_ratio(rep.count_values, 1, N, k))
-            if 2 <= rep.count_t <= WITNESS_PAIR_CAP:
-                witnessed.setdefault(a % q, []).append((prog, rep.count_t))
-            if report.rows is not None:
-                g = math.gcd(rep.count_t, den)
-                report.rows.append((k, q, a, N, rep.count_t, rep.count_values,
-                                    bound, rep.count_t // g, den // g))
+    grid = [(a, N) for a in _a_values(q, report.a_mode) for N in report.N_set]
+    for (a, N), (count_t, count_values) in zip(
+            grid, count_power_cells(k, q, grid)):
+        report.cells += 1
+        root = roots[N]
+        den = dk * root
+        bound = bound_constant(k) * den
+        if count_t > bound:
+            raise BoundViolationError(
+                f"count_t={count_t} exceeds bound {bound} at "
+                f"cell k={k}, q={q}, a={a}, N={N}")
+        cell = (k, q, a, N)
+        best = report.max_ratio
+        if count_t * best.denominator > best.numerator * den:
+            report.max_ratio = Fraction(count_t, den)
+            report.max_ratio_cell = cell
+        report.max_ratio_float = max(report.max_ratio_float,
+                                     _float_ratio(count_t, dk, N, k))
+        best = report.max_value_ratio
+        if count_values * best.denominator > best.numerator * root:
+            report.max_value_ratio = Fraction(count_values, root)
+            report.max_value_ratio_cell = cell
+        report.max_value_ratio_float = max(
+            report.max_value_ratio_float,
+            _float_ratio(count_values, 1, N, k))
+        if 2 <= count_t <= WITNESS_PAIR_CAP:
+            witnessed.setdefault(a % q, []).append(
+                (Progression(a, q, N), count_t))
+        if report.rows is not None:
+            g = math.gcd(count_t, den)
+            report.rows.append((k, q, a, N, count_t, count_values,
+                                bound, count_t // g, den // g))
     P = Poly.monomial(k)
     for cells in witnessed.values():
         a0 = cells[0][0].a  # the least a of the class
@@ -274,14 +276,15 @@ def verify_bound_sweep(k_set, q_max: int, N_set, a_mode: str = "window",
     Cells are visited serially in (k, q, a, N) order, so argmax ties go to
     the lexicographically first cell.  A grid of more than
     search.DEFAULT_CELL_BUDGET cells raises CellBudgetError before any cell
-    runs, and so does a k or an N below 1 (ValueError).  A bound violation
-    raises as soon as its cell is counted; the witnesses of a (k, q) are
-    checked after all its cells are counted (see _sweep_task), so a witness
-    failure raises after any bound violation of the same (k, q).  Every
-    solution pair of a cell with 2 <= count_t <= WITNESS_PAIR_CAP gets its
-    witness checked once, as a pair of the one solution list of its class
-    a mod q: see _sweep_task.  witness_pairs counts each pair in every such
-    cell that contains it.  ``threads`` is accepted and ignored.
+    runs, and so does a k or an N below 1 (ValueError).  The cells of a
+    (k, q) are counted together, by one shared walk where it is short
+    (counting.count_power_cells); a bound violation raises at the first
+    violating cell of its (k, q), before any witness of that (k, q) is
+    checked.  Every solution pair of a cell with
+    2 <= count_t <= WITNESS_PAIR_CAP gets its witness checked once, as a
+    pair of the one solution list of its class a mod q: see _sweep_task.
+    witness_pairs counts each pair in every such cell that contains it.
+    ``threads`` is accepted and ignored.
     """
     k_set = tuple(sorted(set(int(k) for k in k_set)))
     N_set = tuple(sorted(set(int(N) for N in N_set)))

@@ -307,6 +307,7 @@ class TestVerify:
         def no_cell(*args, **kwargs):
             raise AssertionError("a cell ran before the grid was checked")
 
+        monkeypatch.setattr(theorem, "count_power_cells", no_cell)
         monkeypatch.setattr(theorem, "count_powers_in_ap", no_cell)
         code, out, err = run_cli(capsys, "verify", "--k-set", k_set,
                                  "--q-max", "3", "--N-set", N_set)

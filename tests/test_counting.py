@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from appowers import counting, intkernel, kernels, modroots
 from appowers.counting import (CountReport, Progression, count_poly_in_ap,
-                               count_powers_in_ap)
+                               count_power_cells, count_powers_in_ap)
 from appowers.errors import CellBudgetError
 from appowers.intkernel import ikth_root_floor, is_prime, kth_power_t_window
 from appowers.poly import Poly
@@ -427,3 +427,76 @@ class TestResidueStride:
         for A, B in kth_power_t_window(k, prog.lo, prog.hi):
             assert (counting._residue_stride_counts(k, prog, A, B)
                     == kernels.interval_walk(k, a, q, A, B))
+
+
+def _grid(q, a_mode, N_set):
+    a_values = range(-q, q + 1) if a_mode == "window" else range(q)
+    return [(a, N) for a in a_values for N in N_set]
+
+
+class TestCountPowerCells:
+    """One walk per (k, q) against per-cell counts by both algorithms."""
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    @pytest.mark.parametrize("a_mode", ["window", "residues"])
+    def test_matches_per_cell_counts(self, k, a_mode):
+        for q in range(1, 41):
+            for N_set, algorithms in (((1,), ALGORITHMS),
+                                      ((1, 7, 50), ALGORITHMS),
+                                      ((10, 100, 1000), ALGORITHMS),
+                                      # walking 10**12 terms is out of reach
+                                      ((1, 10 ** 12), ("residue",))):
+                cells = _grid(q, a_mode, N_set)
+                got = count_power_cells(k, q, cells)
+                for algorithm in algorithms:
+                    reps = (count_powers_in_ap(k, Progression(a, q, N),
+                                               algorithm=algorithm)
+                            for a, N in cells)
+                    assert got == [(r.count_t, r.count_values)
+                                   for r in reps], (q, N_set, algorithm)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_shared_walk_or_per_cell_fallback(self, monkeypatch, k):
+        per_cell = []
+        real = counting.count_powers_in_ap
+
+        def spy(k, prog, **kwargs):
+            per_cell.append(prog)
+            return real(k, prog, **kwargs)
+
+        monkeypatch.setattr(counting, "count_powers_in_ap", spy)
+        for q in range(1, 41):
+            for N_set in ((1,), (1, 7, 50), (10, 100, 1000)):
+                count_power_cells(k, q, _grid(q, "window", N_set))
+            assert per_cell == []
+            # a kth-root window of millions of t: the stride counts each cell
+            cells = _grid(q, "window", (1, 10 ** 12))
+            count_power_cells(k, q, cells)
+            assert per_cell == [Progression(a, q, N) for a, N in cells]
+            per_cell.clear()
+
+    def test_window_bound_is_exact(self, monkeypatch):
+        # k = 2, q = 1, a = 0: the values 1..N have the window [1, isqrt(N)]
+        per_cell = []
+        real = counting.count_powers_in_ap
+        monkeypatch.setattr(counting, "count_powers_in_ap",
+                            lambda k, prog: per_cell.append(prog) or real(k, prog))
+        longest = (3 * counting.SHARED_WALK_PER_CELL + 1) ** 2 - 1
+        for N in (longest, longest + 1):
+            assert count_power_cells(2, 1, [(0, N)] * 3) == [
+                (2 * math.isqrt(N), math.isqrt(N))] * 3
+        assert per_cell == [Progression(0, 1, longest + 1)] * 3
+
+    def test_even_k_counts_zero_once(self):
+        # 0 = 0**4 is one value and one t, in the cells of 0 mod 5 whose
+        # lo <= 0; 1 and 16 are the fourth powers of 1 mod 5 up to 16
+        got = count_power_cells(4, 5, [(-5, 1), (-5, 130), (0, 130), (-4, 4)])
+        assert got == [(1, 1), (3, 2), (2, 1), (4, 2)]
+
+    def test_empty_and_bad_cells(self):
+        assert count_power_cells(2, 7, []) == []
+        assert count_power_cells(2, 3, [(-10, 2)]) == [(0, 0)]
+        for k, q, cells in ((0, 3, [(0, 1)]), (2, 0, [(0, 1)]),
+                            (2, 3, [(0, 1), (0, 0)])):
+            with pytest.raises(ValueError):
+                count_power_cells(k, q, cells)

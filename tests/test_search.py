@@ -1,10 +1,14 @@
+import hashlib
+import json
 import math
 
 import pytest
 
+from appowers import search
 from appowers.counting import Progression, count_powers_in_ap
 from appowers.errors import CellBudgetError
 from appowers.search import extremal_search, rudin_count, rudin_progression
+from oracles import brute_report
 
 
 def rudin_oracle(N):
@@ -65,7 +69,38 @@ class TestExtremalSearch:
                 scaled = count_powers_in_ap(2, Progression(4 * a, 4 * q, 20))
                 assert scaled.count_values == cv
 
-    def test_budget(self):
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("a_window", [0, 1])
+    def test_matches_brute_force_maximum(self, k, a_window):
+        for q_max in (1, 5, 12):
+            for N in (1, 7, 50):
+                cv = {(q, a): brute_report(k, Progression(a, q, N))[1]
+                      for q in range(1, q_max + 1) for r in range(q)
+                      for a in range(r - a_window * q, r + a_window * q + 1, q)}
+                best = max(cv.values())
+                rec = extremal_search(k, N, q_max, a_window=a_window)
+                assert rec.best_count_values == best
+                assert rec.best_cells == tuple(sorted(
+                    cell for cell, n in cv.items() if n == best))
+                assert rec.cells_evaluated == len(cv)
+
+    @pytest.mark.parametrize("k,digest", [
+        (2, "1bf06258c8df3a9295beaf8a855e423744b47df6df1c996f099941ec6d2d427b"),
+        (3, "c57a0c7d6301ed6e8a7d9a10208d9345cf4ce2b94898267450ed64542ca4c6ef"),
+    ])
+    def test_output_pinned(self, k, digest):
+        # sha256 recorded while every cell was counted on its own
+        rec = extremal_search(k, 1000, 80, a_window=1)
+        text = json.dumps(rec.to_jsonable(), sort_keys=True,
+                          separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_budget(self, monkeypatch):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran before the budget check")
+
+        monkeypatch.setattr(search, "count_power_cells", no_cell)
+        monkeypatch.setattr(search, "count_powers_in_ap", no_cell)
         with pytest.raises(CellBudgetError):
             extremal_search(2, 10, 10 ** 5, cell_budget=1000)
         with pytest.raises(CellBudgetError,

@@ -403,6 +403,7 @@ class TestSweep:
         def no_cell(*args, **kwargs):
             raise AssertionError("a cell ran before the budget check")
 
+        monkeypatch.setattr(theorem, "count_power_cells", no_cell)
         monkeypatch.setattr(theorem, "count_powers_in_ap", no_cell)
         # 1414 * 1416 = 2,002,224 cells, just over the budget of 2,000,000
         with pytest.raises(CellBudgetError, match=" 2002224 cells,"):
