@@ -225,6 +225,10 @@ def _emit(envelope: dict, fmt: str) -> str:
 
 
 def main(argv=None) -> int:
+    # Python 3.10.7+ refuses to convert ints of over 4,300 digits to or from
+    # str; the CLI promises arbitrary precision, in its flags and its output.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -4,8 +4,9 @@ Two independent algorithms back the monomial count: an interval walk over the
 kth-root window of the value interval, and residue-stride counting that solves
 t**k = a (mod q) and counts lattice points per residue class arithmetically.
 They cross-check each other in the test suite.  ``auto`` picks between them by
-an estimate of each one's cost in walked t.  count_power_cells counts many
-cells of one (k, q) from one interval walk shared among them.
+the walk's length in t against a bound on the number of roots of
+t**k = a (mod q) that the stride counts.  count_power_cells counts many cells
+of one (k, q) from one interval walk shared among them.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from itertools import chain
 from . import intkernel, kernels
 from .errors import CellBudgetError, InternalInvariantError
 from .intkernel import kth_power_t_window
-from .modroots import ROOT_BUDGET, SMALL_PRIME, kth_roots_mod
+from .modroots import ROOT_BUDGET, kth_roots_mod
 from .poly import Poly, preimage_range
 
 __all__ = [
@@ -111,7 +112,7 @@ def _residue_stride_counts(k: int, prog: Progression, A: int, B: int) -> int:
     return _count_classes(roots, prog.q, A, B) if roots else 0
 
 
-def _root_bound(k: int, a: int, p: int, e: int) -> int:
+def _root_count_bound(k: int, a: int, p: int, e: int) -> int:
     """An upper bound on the number of x mod p**e with x**k = a."""
     v = 0  # min(v_p(a), e)
     while v < e and a % p ** (v + 1) == 0:
@@ -127,41 +128,14 @@ def _root_bound(k: int, a: int, p: int, e: int) -> int:
     return math.gcd(k, m - m // p) * (2 if p == 2 else 1) * p ** (v - v // k)
 
 
-def _residue_cost(k: int, a: int, q: int, n_segments: int) -> int | None:
-    """The residue stride's cost in walked t, or None if its bound on the
-    number of roots exceeds modroots.ROOT_BUDGET.
-
-    A prime p not dividing a costs 4*p*e*k up to SMALL_PRIME, where its table
-    of kth powers mod p is built (2.4-3.3 walked t per entry) and then kept in
-    an LRU cache, and 16*e*bit_length(p) above it, where a root is found with
-    O(log p) multiplications and lifted by Newton steps (measured cold: 5-16
-    walked t per bit of p for e = 1).  A prime dividing a costs its bound on
-    the roots, which are listed directly.  Each root is then counted once
-    per segment.
-    """
-    cost, roots = 0, 1
-    for p, e in intkernel.factorize(q):
-        bound = _root_bound(k, a, p, e)
-        if a % p == 0:
-            cost += bound
-        elif p <= SMALL_PRIME:
-            cost += 4 * p * e * k
-        else:
-            cost += 16 * e * p.bit_length()
-        roots *= bound
-    if roots > ROOT_BUDGET:
-        return None
-    return cost + roots * n_segments
-
-
 def _choose_algorithm(k: int, prog: Progression,
                       segments: list[tuple[int, int]], walk: int) -> str:
     """Walk windows of at most 64 t; stride windows wider than q.  In
     between, factor q only when q <= span**2 (so factoring costs at most
     about the walk) or the walk exceeds WALK_BUDGET (so it would be refused;
-    factoring then stops at intkernel.RHO_STEP_BUDGET), and stride when
-    that is estimated cheaper than walking, and its bound on the roots is
-    within modroots.ROOT_BUDGET."""
+    factoring then stops at intkernel.RHO_STEP_BUDGET), and stride when the
+    product of q's per-prime-power root bounds is within
+    modroots.ROOT_BUDGET and twice it is below the walk."""
     span = sum(B - A + 1 for A, B in segments)
     if span <= 64:
         return "interval"
@@ -169,8 +143,12 @@ def _choose_algorithm(k: int, prog: Progression,
         return "residue"
     if prog.q > span * span and walk <= WALK_BUDGET:
         return "interval"
-    cost = _residue_cost(k, prog.a, prog.q, len(segments))
-    return "residue" if cost is not None and cost < walk else "interval"
+    roots = math.prod(_root_count_bound(k, prog.a, p, e)
+                      for p, e in intkernel.factorize(prog.q))
+    # A root costs the cold stride about 2-3.5 walked t: the CRT and the
+    # sort take 0.4-0.6 us per root, the walk 0.18-0.25 us per t.
+    return ("residue" if roots <= ROOT_BUDGET and 2 * roots < walk
+            else "interval")
 
 
 def _check_walk(walk: int) -> None:
@@ -220,9 +198,10 @@ def count_powers_in_ap(k: int, prog: Progression, with_solutions: bool = False,
 
     algorithm is "interval", "residue", or "auto": the interval walk for a
     t-window of at most 64 values, the residue stride for one wider than q,
-    and in between whichever _choose_algorithm estimates is cheaper.  A walk
-    longer than WALK_BUDGET, a solution list longer than SOLUTION_CAP, and
-    more roots of t**k = a (mod q) than modroots.ROOT_BUDGET raise
+    and in between the stride when twice a bound on the number of roots of
+    t**k = a (mod q) is below the walk's length (see _choose_algorithm).  A
+    walk longer than WALK_BUDGET, a solution list longer than SOLUTION_CAP,
+    and more roots of t**k = a (mod q) than modroots.ROOT_BUDGET raise
     CellBudgetError before any of it is done.  The solutions are listed by
     the algorithm that counted them, so a cell that can be counted can be
     listed up to SOLUTION_CAP.

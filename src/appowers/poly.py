@@ -47,7 +47,7 @@ class Poly:
     def monomial(cls, k: int) -> "Poly":
         if k < 0:
             raise ValueError(f"monomial degree must be >= 0, got {k}")
-        return cls((0,) * k + (1,))
+        return cls._trimmed((0,) * k + (1,))
 
     def __call__(self, t: int) -> int:
         """Exact Horner evaluation."""
@@ -119,19 +119,25 @@ def _monotone_pieces(P: Poly, left: int, right: int) -> list[tuple[int, int]]:
     its own pieces, so it has at most one root there; where its sign changes
     inside a piece, P is cut after the last t before the root, found by
     bisection.  P is also cut wherever P' is, since a root of P' may lie
-    between the two integers of such a cut.
+    between the two integers of such a cut.  The derivatives are listed
+    first and cut from the linear one up, so the degree sets no recursion
+    depth.
     """
-    if P.degree <= 1:
-        return [(left, right)]
-    D = Poly(tuple(i * c for i, c in enumerate(P.coeffs))[1:])
-    cuts = []
-    for x, y in _monotone_pieces(D, left, right):
-        dx = D(x)
-        if dx * D(y) < 0:
-            cuts.append(_last(lambda t: (D(t) > 0) == (dx > 0), x, y))
-        cuts.append(y)
-    cuts.pop()  # right
-    return list(zip([left] + [c + 1 for c in cuts], cuts + [right]))
+    chain = [P]
+    while chain[-1].degree > 1:
+        chain.append(Poly(tuple(i * c for i, c in
+                                enumerate(chain[-1].coeffs))[1:]))
+    pieces = [(left, right)]
+    for D in reversed(chain[1:]):
+        cuts = []
+        for x, y in pieces:
+            dx = D(x)
+            if dx * D(y) < 0:
+                cuts.append(_last(lambda t: (D(t) > 0) == (dx > 0), x, y))
+            cuts.append(y)
+        cuts.pop()  # right
+        pieces = list(zip([left] + [c + 1 for c in cuts], cuts + [right]))
+    return pieces
 
 
 def preimage_range(P: Poly, lo: int, hi: int) -> list[tuple[int, int]]:

@@ -43,6 +43,12 @@ class TestCount:
                        "--q", "2", "--N", "50")
         assert env["result"]["count_t"] == 14
 
+    def test_N_of_9001_digits(self, capsys):
+        # over Python's default limit of 4,300 digits for int <-> str
+        env = run_json(capsys, "count", "--k", "1", "--a", "0", "--q", "1",
+                       "--N", "1" + "0" * 9000)
+        assert env["result"]["count_t"] == 10 ** 9000
+
     def test_poly_large_n(self, capsys):
         env = run_json(capsys, "count", "--poly", "1,0,2", "--a", "1",
                        "--q", "2", "--N", "10000000")

@@ -118,40 +118,42 @@ def _span(k, prog):
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("auto took the algorithm its cost estimate rejects")
+    raise AssertionError("auto took the algorithm it should reject")
 
 
 class TestChooser:
     """auto on windows with 64 < span <= q, where it weighs walk and stride."""
 
-    # (k, a, q, N, the algorithm auto takes).  The stride's estimate charges
-    # 4*p*e*k per prime p <= SMALL_PRIME not dividing a, 16*e*bit_length(p)
-    # per larger one, the root bound per prime dividing a, and the root bound
-    # of q per segment; the walk costs span (for even k, the number of
-    # t >= 0 in the window).
+    # (k, a, q, N, the algorithm auto takes).  auto strides when twice
+    # its bound on the number of roots of t**k = a (mod q), the product of
+    # the bounds mod each prime power of q, is below the walk, which is
+    # span t long (for even k, the t >= 0 of the window).
     CASES = [
-        # smooth q: the stride costs far less than the walk (640 < 5,402;
-        # 616 < 1,860), unless the walk is shorter still (832 > 463)
+        # smooth q: few roots against a long walk (2*128 < 5,402;
+        # 2*108 < 1,860), even a short one (2*128 = 256 < 463, which cold
+        # takes 0.15 ms strided against 0.11 ms walked)
         (2, 1, 360360, 100, "residue"),
         (3, 8, 360360, 20000, "residue"),
-        (4, 1, 2 ** 6 * 3 ** 4 * 5 * 7, 300000, "interval"),
-        # one large prime in q: its root costs O(log p), so the stride wins
-        # (304 < 4,930; 298 < 526; 388 < 3,162)
+        (4, 1, 2 ** 6 * 3 ** 4 * 5 * 7, 300000, "residue"),
+        # at most gcd(k, p - 1) roots mod a prime p, however large
+        # (2*4 < 4,930; 2*2 < 526; 2*2 < 3,162; 2*4 < 511)
         (2, 1, 3 * 100003, 100, "residue"),
         (3, -7, 2 * 100019, 1000, "residue"),
         (2, 5, 10000019, 4, "residue"),
-        # a divisible by high powers of q's primes: roots listed from the
-        # valuation (617, 2,386, 593, 650 against walks of 2,706 to 9,782),
-        # unless there are many of them (13,337 > 3,819; 128,637 > 897)
+        (2, -195157, 137 * 1789, 3, "residue"),
+        # a divisible by high powers of q's primes: roots from the valuation
+        # (2*288 < 4,490; 2*1,152 < 4,471; 2*144 < 9,782; 2*576 < 2,706),
+        # unless there are many of them (2*12,800 > 3,819; 2*64,000 > 897)
         (2, 0, 2 ** 10 * 3 ** 5, 100, "residue"),
         (2, 2 ** 8 * 3 ** 4, 2 ** 10 * 3 ** 5, 100, "residue"),
         (2, 3 ** 8, 2 ** 4 * 3 ** 4 * 5 ** 3 * 7 ** 2, 20, "residue"),
         (3, 0, 2 ** 9 * 3 ** 3 * 5, 300000, "residue"),
         (3, 0, 2 ** 14 * 5 ** 3, 30000, "interval"),
         (4, 0, 2 ** 12 * 5 ** 4, 300000, "interval"),
-        (2, 5 ** 6, 5 ** 8 * 7, 30, "residue"),  # 1,306 < 7,399
-        # 2^24 | q: four odd square roots mod 2^24 (424 < 7,094); 2^12
-        # roots of 0 (12,289 > 7,094); and q > span**2, walked unfactored
+        (2, 5 ** 6, 5 ** 8 * 7, 30, "residue"),  # 2*500 < 7,399
+        # 2^24 | q: four odd square roots mod 2^24, two mod 3 (2*8 < 7,094);
+        # 2^12 roots of 0 (2*4,096 > 7,094: cold, 1.2 ms walked against
+        # 2.3 ms strided); and q > span**2, walked unfactored
         (2, 1, 2 ** 24 * 3, 4, "residue"),
         (2, 0, 2 ** 24 * 3, 4, "interval"),
         (3, -1, 2 ** 24 * 3, 40, "interval"),
@@ -356,6 +358,12 @@ class TestCountPoly:
     def test_rejects_constant(self):
         with pytest.raises(ValueError):
             count_poly_in_ap(Poly((3,)), Progression(0, 1, 10))
+
+    def test_degree_past_the_recursion_limit(self):
+        # t**1000 + 1 has 999 derivatives to cut by; it lands in [1, 10]
+        # only at t = 0 (value 1) and t = +-1 (value 2)
+        P = Poly((1,) + (0,) * 999 + (1,))
+        assert count_poly_in_ap(P, Progression(0, 1, 10)) == CountReport(3, 2)
 
     # degrees 1-4, each with both signs of the leading coefficient: repeated
     # values (t^2 - t, t^3 - t, t^4 - 5t^2), critical points at integers
