@@ -2,7 +2,8 @@
 
 A composite modulus is split into its prime powers p**e; the root counts of
 the parts are multiplied and checked against ROOT_BUDGET, and the parts are
-recombined with the Chinese remainder theorem.  Modulo p**e:
+recombined with the Chinese remainder theorem.  Only the roots modulo each
+prime power are cached, by (a mod p**e, k, p, e).  Modulo p**e:
 
 * a = 0: x**k = 0 exactly when p**ceil(e/k) divides x;
 * p**v exactly divides a: x = p**(v/k) * y (no roots unless k | v), with y a
@@ -144,10 +145,11 @@ def _unit_roots(b: int, k: int, p: int, e: int) -> tuple[int, ...]:
     return tuple(sorted(roots))
 
 
-def _prime_power_roots(a: int, k: int, p: int, e: int) -> tuple[int, ...]:
-    """Sorted x in [0, p**e) with x**k = a (mod p**e); p must be prime."""
+@lru_cache(maxsize=400_000)
+def _roots_mod_cached(a: int, k: int, p: int, e: int) -> tuple[int, ...]:
+    """Sorted x in [0, p**e) with x**k = a (mod p**e), for a prime p and
+    a in [0, p**e)."""
     pe = p ** e
-    a %= pe
     if a == 0:
         step = p ** -(-e // k)
         _check_root_count(pe // step)
@@ -177,32 +179,8 @@ def kth_roots_mod_prime_power(a: int, k: int, p: int, e: int) -> ResidueSet:
         raise ValueError(f"e must be >= 1, got {e}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return ResidueSet(p ** e, _prime_power_roots(a, k, p, e))
-
-
-def _crt_combine(r1: list[int], m1: int,
-                 r2: tuple[int, ...], m2: int) -> tuple[list[int], int]:
-    """Merge residue lists modulo coprime m1, m2 into one list modulo m1*m2,
-    unsorted: _roots_mod_cached sorts once, after the last prime power."""
-    m = m1 * m2
-    inv = pow(m1, -1, m2)
-    return [(x1 + m1 * ((x2 - x1) * inv % m2)) % m
-            for x1 in r1 for x2 in r2], m
-
-
-@lru_cache(maxsize=400_000)
-def _roots_mod_cached(a: int, k: int, m: int) -> tuple[int, ...]:
-    parts = []
-    for p, e in factorize(m):  # primes already, so no primality test here
-        roots = _prime_power_roots(a, k, p, e)
-        if not roots:
-            return ()
-        parts.append((roots, p ** e))
-    _check_root_count(math.prod(len(roots) for roots, _ in parts))
-    residues, mod = [0], 1
-    for roots, pe in parts:
-        residues, mod = _crt_combine(residues, mod, roots, pe)
-    return tuple(sorted(residues))
+    pe = p ** e
+    return ResidueSet(pe, _roots_mod_cached(a % pe, k, p, e))
 
 
 def kth_roots_mod(a: int, k: int, m: int) -> ResidueSet:
@@ -214,4 +192,19 @@ def kth_roots_mod(a: int, k: int, m: int) -> ResidueSet:
         raise ValueError(f"modulus must be >= 1, got {m}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return ResidueSet(m, _roots_mod_cached(a % m, k, m))
+    parts, count = [], 1
+    for p, e in factorize(m):  # primes already, so no primality test here
+        pe = p ** e
+        roots = _roots_mod_cached(a % pe, k, p, e)
+        if not roots:
+            return ResidueSet(m, ())
+        parts.append((roots, pe))
+        count *= len(roots)
+    _check_root_count(count)
+    residues, mod = [0], 1
+    for roots, pe in parts:  # CRT: x = x1 (mod mod), x = x2 (mod pe)
+        inv = pow(mod, -1, pe)
+        residues = [x1 + mod * ((x2 - x1) * inv % pe)
+                    for x1 in residues for x2 in roots]
+        mod *= pe
+    return ResidueSet(m, tuple(sorted(residues)))

@@ -147,17 +147,20 @@ def preimage_range(P: Poly, lo: int, hi: int) -> list[tuple[int, int]]:
     ascending, disjoint and not merged, and P is strictly monotone on each.
     Every solution lies in [-B, B], B the larger root bound of P - lo and
     P - hi (see _root_bound); that bracket is cut into the pieces on which
-    P is monotone (_monotone_pieces), and each piece is bisected for its
-    first and last t with P(t) in [lo, hi].  The cost is polynomial in the
-    degree and in log B, whatever the width of [lo, hi].
+    P is monotone (_monotone_pieces), or into single integers when it holds
+    fewer than deg P of them, and each piece is bisected for its first and
+    last t with P(t) in [lo, hi].  The cost is polynomial in the degree and
+    in log B, whatever the width of [lo, hi].
     """
     if lo > hi:
         raise ValueError(f"empty value interval [{lo}, {hi}]")
     if P.degree < 1:
         raise ValueError("preimage_range requires degree >= 1")
     bound = max(_root_bound(P.coeffs, lo), _root_bound(P.coeffs, hi))
+    pieces = ([(t, t) for t in range(-bound, bound + 1)] if 2 * bound < P.degree
+              else _monotone_pieces(P, -bound, bound))
     segments = []
-    for x, y in _monotone_pieces(P, -bound, bound):
+    for x, y in pieces:
         if P(x) <= P(y):
             A = _last(lambda t: P(t) < lo, x, y) + 1
             B = _last(lambda t: P(t) <= hi, A, y)

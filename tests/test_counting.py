@@ -360,8 +360,9 @@ class TestCountPoly:
             count_poly_in_ap(Poly((3,)), Progression(0, 1, 10))
 
     def test_degree_past_the_recursion_limit(self):
-        # t**1000 + 1 has 999 derivatives to cut by; it lands in [1, 10]
-        # only at t = 0 (value 1) and t = +-1 (value 2)
+        # t**1000 + 1 has 999 derivatives, but its bracket [-4, 4] holds
+        # fewer t, so it is cut t by t; it lands in [1, 10] only at t = 0
+        # (value 1) and t = +-1 (value 2)
         P = Poly((1,) + (0,) * 999 + (1,))
         assert count_poly_in_ap(P, Progression(0, 1, 10)) == CountReport(3, 2)
 

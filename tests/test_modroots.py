@@ -159,3 +159,22 @@ class TestCompositeModulus:
                     n1 = len(kth_roots_mod(a, k, m1).residues)
                     n2 = len(kth_roots_mod(a, k, m2).residues)
                     assert n == n1 * n2, (a, k, m1, m2)
+
+
+class TestRootsCache:
+    """One LRU cache, keyed by prime power, serves both entry points."""
+
+    def test_prime_power_call_hits_the_composite_calls_entry(self):
+        modroots._roots_mod_cached.cache_clear()
+        kth_roots_mod(4, 2, 360)  # 360 = 2**3 * 3**2 * 5
+        hits = modroots._roots_mod_cached.cache_info().hits
+        assert kth_roots_mod_prime_power(4, 2, 3, 2).residues == (2, 7)
+        assert modroots._roots_mod_cached.cache_info().hits == hits + 1
+
+    def test_root_budget_holds_on_a_warm_cache(self, monkeypatch):
+        # 2**16 square roots of 1 mod the product of the first 16 odd primes
+        q = math.prod([p for p in range(3, 80) if is_prime(p)][:16])
+        assert len(kth_roots_mod(1, 2, q).residues) == 2 ** 16
+        monkeypatch.setattr(modroots, "ROOT_BUDGET", 2 ** 16 - 1)
+        with pytest.raises(CellBudgetError):
+            kth_roots_mod(1, 2, q)

@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from appowers import poly
 from appowers.intkernel import kth_power_t_window
 from appowers.poly import Poly, difference_quotient, parse_poly, preimage_range
 
@@ -130,6 +131,30 @@ class TestPreimageRange:
         cauchy = 1 + -(-max(tops) // lead)
         assert flatten(preimage_range(P, lo, hi)) == [
             t for t in range(-cauchy, cauchy + 1) if lo <= P(t) <= hi]
+
+    @given(st.lists(st.integers(min_value=-2, max_value=2), min_size=12,
+                    max_size=40),
+           st.sampled_from([-2, -1, 1, 2]),
+           st.integers(min_value=-3, max_value=3),
+           st.integers(min_value=0, max_value=4))
+    @settings(max_examples=100, deadline=None)
+    def test_narrow_bracket_cut_into_integers(self, low, lead, lo, width):
+        """A bracket [-B, B] with fewer t than deg P is cut into single t;
+        they flatten to the same t as the monotone pieces' segments."""
+        P = Poly(tuple(low) + (lead,))
+        hi = lo + width
+        bound = max(poly._root_bound(P.coeffs, lo),
+                    poly._root_bound(P.coeffs, hi))
+        assume(2 * bound < P.degree)
+        segments = preimage_range(P, lo, hi)
+        assert all(A == B for A, B in segments)
+        monotone = []
+        for x, y in poly._monotone_pieces(P, -bound, bound):
+            hits = [t for t in range(x, y + 1) if lo <= P(t) <= hi]
+            if hits:  # P is monotone on the piece, so its hits are a run
+                assert hits == list(range(hits[0], hits[-1] + 1))
+                monotone.append((hits[0], hits[-1]))
+        assert flatten(segments) == flatten(monotone)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("lo,hi", [
