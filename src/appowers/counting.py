@@ -6,7 +6,9 @@ t**k = a (mod q) and counts lattice points per residue class arithmetically.
 They cross-check each other in the test suite.  ``auto`` picks between them by
 the walk's length in t against a bound on the number of roots of
 t**k = a (mod q) that the stride counts.  count_power_cells counts many cells
-of one (k, q) from one interval walk shared among them.
+of one (k, q) from one interval walk shared among them: _shared_walk bins
+that walk's t**k by class mod q, and search.extremal_search bounds whole
+classes by the length of their lists.
 """
 from __future__ import annotations
 
@@ -233,6 +235,22 @@ def count_powers_in_ap(k: int, prog: Progression, with_solutions: bool = False,
     return CountReport(ct, cv, solutions)
 
 
+def _shared_walk(k: int, q: int, lo: int, hi: int,
+                 cells: int) -> dict[int, list[int]] | None:
+    """{class mod q: ascending list of t**k} over the counted window of
+    [lo, hi] (its t >= 0 side for even k), or None when that window is
+    longer than SHARED_WALK_PER_CELL t per cell of the cells it is to serve,
+    or than WALK_BUDGET, and so is not walked."""
+    _, A, B = _counted_window(k, lo, hi)
+    if B - A + 1 > min(SHARED_WALK_PER_CELL * cells, WALK_BUDGET):
+        return None
+    classes: dict[int, list[int]] = {}
+    for t in range(A, B + 1):
+        v = t ** k
+        classes.setdefault(v % q, []).append(v)
+    return classes
+
+
 def count_power_cells(k: int, q: int,
                       cells: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """(count_t, count_values) of t**k in each progression
@@ -253,17 +271,12 @@ def count_power_cells(k: int, q: int,
         return []
     if q < 1 or min(N for _, N in cells) < 1:
         raise ValueError("step q and every length N must be >= 1")
-    _, A, B = _counted_window(k, min(a for a, _ in cells) + q,
-                              max(a + N * q for a, N in cells))
-    even = k % 2 == 0
-    walk = max(B - A + 1, 0)
-    if walk > min(SHARED_WALK_PER_CELL * len(cells), WALK_BUDGET):
+    classes = _shared_walk(k, q, min(a for a, _ in cells) + q,
+                           max(a + N * q for a, N in cells), len(cells))
+    if classes is None:
         reps = (count_powers_in_ap(k, Progression(a, q, N)) for a, N in cells)
         return [(rep.count_t, rep.count_values) for rep in reps]
-    classes: dict[int, list[int]] = {}
-    for t in range(A, B + 1):
-        v = t ** k
-        classes.setdefault(v % q, []).append(v)
+    even = k % 2 == 0
     out = []
     for a, N in cells:
         r = a % q

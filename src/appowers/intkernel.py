@@ -46,13 +46,68 @@ def _prime_table(limit: int) -> tuple[int, ...]:
 _SMALL_PRIMES = _prime_table(1 << 12)
 
 
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) of an odd n > 0, by quadratic reciprocity."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _half(x: int, n: int) -> int:
+    """x/2 mod an odd n."""
+    x %= n
+    return (x + n if x % 2 else x) // 2
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 1 that is not a square.
+
+    Selfridge's method A: D is the first of 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1 and Q = (1 - D)/4.  With n + 1 = d * 2**s, d odd, n
+    passes when U_d = 0 or V_(d * 2**r) = 0 (mod n) for some 0 <= r < s.
+    """
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = -D - 2 if D > 0 else 2 - D
+    if j == 0:  # D shares a factor with n
+        return n == abs(D)
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1 and Q**1, stepped to index d by bits
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = _half(U + V, n), _half(D * U + V, n), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
 def is_prime(n: int) -> bool:
     """Miller-Rabin primality test, deterministic for n < 3.3e24 (the 13
     prime bases 2..41).
 
-    Above that limit the 22 prime bases 2..79 are used, and the answer is
-    heuristic: composites that pass them exist, such as Arnault's (1995)
-    strong pseudoprimes to every prime base below 200.
+    Above that limit it is a Baillie-PSW test: Miller-Rabin to the 22 prime
+    bases 2..79, which alone some composites pass (such as Arnault's (1995)
+    strong pseudoprimes to every prime base below 200), then a perfect-square
+    check and a strong Lucas test.  No composite is known to pass BPSW, but
+    that none does is not proven.
     """
     if n < 2:
         return False
@@ -77,7 +132,8 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return (n < _MR_EXACT_LIMIT
+            or math.isqrt(n) ** 2 != n and _strong_lucas(n))
 
 
 def _brent_rho(n: int) -> int:

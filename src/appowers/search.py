@@ -7,10 +7,11 @@ a = r + s*q with s in [-a_window, a_window].
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .counting import (CountReport, Progression, count_power_cells,
-                       count_powers_in_ap)
+from .counting import (CountReport, Progression, _shared_walk,
+                       count_power_cells, count_powers_in_ap)
 from .errors import CellBudgetError
 
 __all__ = ["SearchRecord", "extremal_search", "rudin_count",
@@ -47,11 +48,16 @@ class SearchRecord:
 def extremal_search(k: int, N: int, q_max: int, a_window: int = 0,
                     threads: int = 1,
                     cell_budget: int = DEFAULT_CELL_BUDGET) -> SearchRecord:
-    """Exhaustive maximum of count_values over the parametrized cell grid.
+    """Exact maximum of count_values over the parametrized cell grid, by
+    branch and bound, with every tying cell, sorted by (q, a).
 
-    Counts the cells of each q with one counting.count_power_cells call (one
-    shared walk, or each cell on its own where that walk would be long) and
-    reports every tying cell, sorted by (q, a).  Exceeds the cell budget ->
+    Each q's grid is served by one shared walk (counting._shared_walk) over
+    its hull, which lists the kth powers there by class mod q.  A cell
+    a = r + s*q holds only values of class r in that hull, so a class whose
+    list is shorter than the best count so far is skipped whole; the other
+    cells cost two bisects each.  Where that walk would be long, the q's
+    cells are counted by counting.count_power_cells instead.
+    cells_evaluated is the grid's size.  Exceeds the cell budget ->
     CellBudgetError before any evaluation.  ``threads`` is accepted and
     ignored.
     """
@@ -65,14 +71,29 @@ def extremal_search(k: int, N: int, q_max: int, a_window: int = 0,
             f"search would evaluate {total} cells, budget is {cell_budget}")
     best = -1
     cells: list[tuple[int, int]] = []
+    shifts = range(-a_window, a_window + 1)
     for q in range(1, q_max + 1):
-        grid = [(r + s * q, N) for r in range(q)
-                for s in range(-a_window, a_window + 1)]
-        for (a, _), (_, cv) in zip(grid, count_power_cells(k, q, grid)):
-            if cv > best:
-                best, cells = cv, [(q, a)]
-            elif cv == best:
-                cells.append((q, a))
+        classes = _shared_walk(k, q, q - a_window * q,
+                               q - 1 + a_window * q + N * q, q * len(shifts))
+        if classes is None:
+            grid = [(r + s * q, N) for r in range(q) for s in shifts]
+            counts = iter(count_power_cells(k, q, grid))
+        for r in range(q):
+            if classes is None:
+                found = [(r + s * q, next(counts)[1]) for s in shifts]
+            else:
+                values = classes.get(r, ())
+                # each cell's count <= len(values) < best <= the final best
+                if len(values) < best:
+                    continue
+                found = [(a, bisect_right(values, a + N * q)
+                          - bisect_left(values, a + q))
+                         for a in (r + s * q for s in shifts)]
+            for a, cv in found:
+                if cv > best:
+                    best, cells = cv, [(q, a)]
+                elif cv == best:
+                    cells.append((q, a))
     cells.sort()
     return SearchRecord(k=k, N=N, q_max=q_max, a_window=a_window,
                         best_count_values=best, best_cells=tuple(cells),

@@ -93,6 +93,95 @@ class TestFactorize:
         assert all(is_prime(p) for p, _ in fac)
 
 
+def jacobi_by_factors(a, n):
+    """(a/n) as the product of Euler's criterion over n's prime factors."""
+    out = 1
+    for p, e in trial_division(n):
+        r = pow(a % p, (p - 1) // 2, p)
+        out *= (-1 if r == p - 1 else r) ** e
+    return out
+
+
+def strong_lucas_by_matrices(n):
+    """The strong Lucas test with Selfridge's parameters, by powers of the
+    matrix [[P, -Q], [1, 0]] = [[U_2, -Q U_1], [U_1, -Q U_0]] mod n, whose
+    kth power holds U_(k+1) and U_k, and V_k = 2 U_(k+1) - P U_k."""
+    D = next(D for D in (5 + 2 * i if i % 2 == 0 else -5 - 2 * i
+                         for i in range(n)) if jacobi_by_factors(D, n) == -1)
+    P, Q = 1, (1 - D) // 4
+
+    def mul(x, y):
+        return [[(x[i][0] * y[0][j] + x[i][1] * y[1][j]) % n
+                 for j in range(2)] for i in range(2)]
+
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    m, power = [[1, 0], [0, 1]], [[P, -Q % n], [1, 0]]
+    for bit in bin(d)[:1:-1]:
+        if bit == "1":
+            m = mul(m, power)
+        power = mul(power, power)
+    if m[1][0] == 0:
+        return True
+    for _ in range(s):
+        if (2 * m[0][0] - P * m[1][0]) % n == 0:
+            return True
+        m = mul(m, m)
+    return False
+
+
+class TestBPSW:
+    def test_jacobi(self):
+        for n in range(1, 400, 2):
+            for a in range(-30, 60):
+                assert intkernel._jacobi(a, n) == jacobi_by_factors(a, n)
+
+    def test_strong_lucas_pseudoprimes_below_1e5(self):
+        prime = set(intkernel._prime_table(10 ** 5))
+        squares = {m * m for m in range(317)}
+        odd = [n for n in range(3, 10 ** 5, 2) if n not in squares]
+        passed = [n for n in odd if intkernel._strong_lucas(n)]
+        assert prime - {2} <= set(passed)
+        # OEIS A217255, the strong Lucas pseudoprimes, up to 10**5
+        assert [n for n in passed if n not in prime] == [
+            5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309,
+            58519, 75077, 97439]
+        for n in odd[:10 ** 4]:
+            assert intkernel._strong_lucas(n) == (
+                n in prime or strong_lucas_by_matrices(n)), n
+
+    def test_runs_above_the_exact_limit(self, monkeypatch):
+        calls = []
+
+        def spy(n):
+            calls.append(n)
+            return False
+
+        monkeypatch.setattr(intkernel, "_strong_lucas", spy)
+        assert is_prime(2 ** 61 - 1)
+        assert not calls
+        assert not is_prime(2 ** 89 - 1)
+        assert calls == [2 ** 89 - 1]
+
+    @pytest.mark.parametrize("n", [2 ** 89 - 1, 2 ** 127 - 1])
+    def test_mersenne_primes(self, n):
+        assert n > intkernel._MR_EXACT_LIMIT
+        assert is_prime(n)
+        assert intkernel._strong_lucas(n)
+
+    @pytest.mark.parametrize("p,q", [
+        (10 ** 13 + 37, 10 ** 13 + 51), (9999999999971, 10 ** 13 + 37),
+    ])
+    def test_products_near_1e13(self, p, q):
+        assert is_prime(p) and is_prime(q)
+        assert p * q > intkernel._MR_EXACT_LIMIT
+        assert not is_prime(p * q)
+        assert not intkernel._strong_lucas(p * q)
+        assert not is_prime(p * p)
+
+
 class TestDivisors:
     @pytest.mark.parametrize("n,want", [(1, 1), (12, 6), (24, 8)])
     def test_examples(self, n, want):

@@ -1,11 +1,12 @@
+import bisect
 import hashlib
 import json
 import math
 
 import pytest
 
-from appowers import search
-from appowers.counting import Progression, count_powers_in_ap
+from appowers import counting, search
+from appowers.counting import Progression, count_power_cells, count_powers_in_ap
 from appowers.errors import CellBudgetError
 from appowers.search import extremal_search, rudin_count, rudin_progression
 from oracles import brute_report
@@ -84,6 +85,52 @@ class TestExtremalSearch:
                     cell for cell, n in cv.items() if n == best))
                 assert rec.cells_evaluated == len(cv)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("a_window", [0, 1, 3])
+    def test_pruning_is_exact(self, k, a_window):
+        # the maximum and every tie of count_power_cells over each q's whole
+        # grid; N = 10**12 takes the path that does not walk
+        for N, q_max in ((1, 40), (2, 40), (7, 40), (50, 40), (1000, 40),
+                         (10 ** 12, 12)):
+            cv = {}
+            for q in range(1, q_max + 1):
+                grid = [(r + s * q, N) for r in range(q)
+                        for s in range(-a_window, a_window + 1)]
+                for (a, _), (_, n) in zip(grid, count_power_cells(k, q, grid)):
+                    cv[q, a] = n
+            best = max(cv.values())
+            rec = extremal_search(k, N, q_max, a_window=a_window)
+            assert rec.best_count_values == best, N
+            assert rec.best_cells == tuple(sorted(
+                cell for cell, n in cv.items() if n == best)), N
+
+    def test_prunes_classes(self, monkeypatch):
+        walks = {}
+        counted = []
+
+        def spy_walk(k, q, lo, hi, cells):
+            walks[q] = counting._shared_walk(k, q, lo, hi, cells)
+            return walks[q]
+
+        def spy_cells(k, q, cells):
+            counted.extend(cells)
+            return count_power_cells(k, q, cells)
+
+        def spy_bisect(values, x):
+            counted.append(x)
+            return bisect.bisect_left(values, x)
+
+        monkeypatch.setattr(search, "_shared_walk", spy_walk)
+        monkeypatch.setattr(search, "count_power_cells", spy_cells)
+        monkeypatch.setattr(search, "bisect_left", spy_bisect)
+        rec = extremal_search(2, 1000, 80, a_window=1)
+        assert list(walks) == list(range(1, 81))
+        # q = 1 alone walks 32 t for its 3 cells, more than
+        # SHARED_WALK_PER_CELL t per cell, so its cells are counted one by one
+        assert [q for q, classes in walks.items() if classes is None] == [1]
+        assert len(counted) < rec.cells_evaluated / 100
+        assert rec.cells_evaluated == 9720
+
     @pytest.mark.parametrize("k,digest", [
         (2, "1bf06258c8df3a9295beaf8a855e423744b47df6df1c996f099941ec6d2d427b"),
         (3, "c57a0c7d6301ed6e8a7d9a10208d9345cf4ce2b94898267450ed64542ca4c6ef"),
@@ -95,12 +142,25 @@ class TestExtremalSearch:
                           separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("k,digest", [
+        (2, "7fa2245584a3a1b9c4ba7c746a70fff242efd83eee199e9d52248c50b8405e0d"),
+        (3, "8e8d90d05b87db24ba60bdcf838a9171c55b1c12cabb23c5c19c7086671260fb"),
+    ])
+    def test_output_pinned_unwalked(self, k, digest):
+        # N = 10**12 is too long a walk, so each q's cells are counted by
+        # count_power_cells; sha256 recorded before the search pruned
+        rec = extremal_search(k, 10 ** 12, 80, a_window=1)
+        text = json.dumps(rec.to_jsonable(), sort_keys=True,
+                          separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_budget(self, monkeypatch):
         def no_cell(*args, **kwargs):
             raise AssertionError("a cell ran before the budget check")
 
         monkeypatch.setattr(search, "count_power_cells", no_cell)
         monkeypatch.setattr(search, "count_powers_in_ap", no_cell)
+        monkeypatch.setattr(search, "_shared_walk", no_cell)
         with pytest.raises(CellBudgetError):
             extremal_search(2, 10, 10 ** 5, cell_budget=1000)
         with pytest.raises(CellBudgetError,
