@@ -6,7 +6,7 @@ from .counting import (CountReport, Progression, count_poly_in_ap,
                        count_powers_in_ap)
 from .intkernel import (divisor_count, factorize, ikth_root_ceil,
                         ikth_root_floor, is_prime)
-from .modroots import ResidueSet, kth_roots_mod, kth_roots_mod_prime_power
+from .modroots import kth_roots_mod, kth_roots_mod_prime_power
 from .poly import Poly, difference_quotient, parse_poly, preimage_range
 from .search import (SearchRecord, extremal_search, rudin_count,
                      rudin_progression)
@@ -19,7 +19,6 @@ __all__ = [
     "CountReport",
     "Poly",
     "Progression",
-    "ResidueSet",
     "SearchRecord",
     "SweepReport",
     "Witness",

@@ -138,8 +138,8 @@ def _run_count(args) -> dict:
 
 
 def _run_roots(args) -> dict:
-    rs = kth_roots_mod(args.a, args.k, args.mod)
-    return {"modulus": rs.modulus, "residues": list(rs.residues)}
+    return {"modulus": args.mod,
+            "residues": list(kth_roots_mod(args.a, args.k, args.mod))}
 
 
 def _run_verify(args) -> dict:

@@ -4,24 +4,24 @@ Two independent algorithms back the monomial count: an interval walk over the
 kth-root window of the value interval, and residue-stride counting that solves
 t**k = a (mod q) and counts lattice points per residue class arithmetically.
 They cross-check each other in the test suite.  ``auto`` picks between them by
-the walk's length in t against a bound on the number of roots of
-t**k = a (mod q) that the stride counts.  count_power_cells counts many cells
-of one (k, q) from one interval walk shared among them: _shared_walk bins
-that walk's t**k by class mod q, and search.extremal_search bounds whole
-classes by the length of their lists.
+the walk's length in t against modroots.root_count_bound, a bound on the
+number of roots of t**k = a (mod q) that the stride counts.  A strided call
+finds those roots once, for both its count and its solution list.
+count_power_cells counts many cells of one (k, q) from one interval walk
+shared among them: _shared_walk bins that walk's t**k by class mod q, and
+search.extremal_search bounds whole classes by the length of their lists.
 """
 from __future__ import annotations
 
 import heapq
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
 
-from . import intkernel, kernels
+from . import kernels
 from .errors import CellBudgetError, InternalInvariantError
 from .intkernel import kth_power_t_window
-from .modroots import ROOT_BUDGET, kth_roots_mod
+from .modroots import ROOT_BUDGET, kth_roots_mod, root_count_bound
 from .poly import Poly, preimage_range
 
 __all__ = [
@@ -90,11 +90,16 @@ class CountReport:
     solutions: tuple[tuple[int, int], ...] | None = None
 
 
-def _count_classes(roots: tuple[int, ...], q: int, A: int, B: int) -> int:
-    """Number of t in [A, B] with t mod q in roots, which must be sorted.
+def _residue_stride_counts(roots: tuple[int, ...], q: int, A: int,
+                           B: int) -> int:
+    """Number of t in [A, B] with t mod q in roots, the sorted roots of
+    t**k = a (mod q).
 
-    For n roots R, sum over r in R of floor((x - r) / q) is
-    n*(x//q) + bisect_right(R, x % q) - n, so [A, B] costs two bisects.
+    The congruence alone is necessary but not sufficient; restricting each
+    class to [A, B], an interval of the exact kth-root window of [lo, hi],
+    is what pins the index i into [1, N].  For n roots R, sum over r in R of
+    floor((x - r) / q) is n*(x//q) + bisect_right(R, x % q) - n, so [A, B]
+    is counted by rank with two bisects, not root by root.
     """
     if B < A:
         return 0
@@ -102,51 +107,22 @@ def _count_classes(roots: tuple[int, ...], q: int, A: int, B: int) -> int:
             + bisect_right(roots, B % q) - bisect_right(roots, (A - 1) % q))
 
 
-def _residue_stride_counts(k: int, prog: Progression, A: int, B: int) -> int:
-    """Number of t in [A, B] with t**k = a (mod q), via residue classes.
-
-    The congruence alone is necessary but not sufficient; restricting each
-    class to [A, B], an interval of the exact kth-root window of [lo, hi],
-    is what pins the index i into [1, N].  The roots come sorted, so the
-    interval is counted by rank (_count_classes), not root by root.
-    """
-    roots = kth_roots_mod(prog.a % prog.q, k, prog.q).residues
-    return _count_classes(roots, prog.q, A, B) if roots else 0
-
-
-def _root_count_bound(k: int, a: int, p: int, e: int) -> int:
-    """An upper bound on the number of x mod p**e with x**k = a."""
-    v = 0  # min(v_p(a), e)
-    while v < e and a % p ** (v + 1) == 0:
-        v += 1
-    if v == e:  # x**k = 0 (mod p**e) iff p**ceil(e/k) divides x
-        return p ** (e + (-e // k))
-    if v % k:
-        return 0
-    # x = p**(v/k) * y with y a unit, y**k fixed mod p**(e-v): at most
-    # gcd(k, phi(p**(e-v))) classes (twice that for p = 2), each of which
-    # leaves the last v - v/k digits of y free.
-    m = p ** (e - v)
-    return math.gcd(k, m - m // p) * (2 if p == 2 else 1) * p ** (v - v // k)
-
-
-def _choose_algorithm(k: int, prog: Progression,
-                      segments: list[tuple[int, int]], walk: int) -> str:
-    """Walk windows of at most 64 t; stride windows wider than q.  In
-    between, factor q only when q <= span**2 (so factoring costs at most
-    about the walk) or the walk exceeds WALK_BUDGET (so it would be refused;
-    factoring then stops at intkernel.RHO_STEP_BUDGET), and stride when the
-    product of q's per-prime-power root bounds is within
-    modroots.ROOT_BUDGET and twice it is below the walk."""
-    span = sum(B - A + 1 for A, B in segments)
+def _choose_algorithm(k: int, prog: Progression, A: int, walk: int) -> str:
+    """Walk windows of at most 64 t; stride windows wider than q.  The
+    window's span is the walk for odd k, and for even k both signs of the
+    walk's t >= 0, t = 0 once.  In between, factor q only when
+    q <= span**2 (so factoring costs at most about the walk) or the walk
+    exceeds WALK_BUDGET (so it would be refused; factoring then stops at
+    intkernel.RHO_STEP_BUDGET), and stride when modroots.root_count_bound
+    is within modroots.ROOT_BUDGET and twice it is below the walk."""
+    span = walk if k % 2 or not walk else 2 * walk - (A == 0)
     if span <= 64:
         return "interval"
     if span > prog.q:
         return "residue"
     if prog.q > span * span and walk <= WALK_BUDGET:
         return "interval"
-    roots = math.prod(_root_count_bound(k, prog.a, p, e)
-                      for p, e in intkernel.factorize(prog.q))
+    roots = root_count_bound(prog.a, k, prog.q)
     # A root costs the cold stride about 2-3.5 walked t: the CRT and the
     # sort take 0.4-0.6 us per root, the walk 0.18-0.25 us per t.
     return ("residue" if roots <= ROOT_BUDGET and 2 * roots < walk
@@ -166,32 +142,31 @@ def _check_solution_cap(count_t: int) -> None:
 
 
 def _power_solutions(k: int, prog: Progression, A: int, B: int,
-                     walked: bool) -> tuple[tuple[int, int], ...]:
+                     roots: tuple[int, ...] | None
+                     ) -> tuple[tuple[int, int], ...]:
     """All (t, i) with t**k = a + i*q, sorted by t.  The hits of [A, B] are
-    listed by the algorithm that counted them: by walking [A, B] if walked,
-    else from the roots of t**k = a (mod q); for even k they are mirrored
-    to -t, as count_powers_in_ap counts them."""
+    listed by the algorithm that counted them: by walking [A, B] if roots is
+    None, else from the stride's roots of t**k = a (mod q); for even k they
+    are mirrored to -t, as count_powers_in_ap counts them."""
     a, q = prog.a, prog.q
-    if walked:
+    if roots is None:
         ts = [t for t in range(A, B + 1) if (t ** k - a) % q == 0]
     else:
-        ts = sorted(t for r in kth_roots_mod(a % q, k, q).residues
-                    for t in range(A + (r - A) % q, B + 1, q))
+        ts = sorted(t for r in roots for t in range(A + (r - A) % q, B + 1, q))
     if k % 2 == 0:
         ts = [-t for t in reversed(ts) if t] + ts
     return tuple((t, (t ** k - a) // q) for t in ts)
 
 
-def _counted_window(k: int, lo: int,
-                    hi: int) -> tuple[list[tuple[int, int]], int, int]:
-    """kth_power_t_window(k, lo, hi) and the one interval [A, B] of it that
-    is counted: the window itself for odd k, its t >= 0 side for even k,
-    where -t has the same value as t.  An empty window gives B < A."""
+def _counted_window(k: int, lo: int, hi: int) -> tuple[int, int]:
+    """The one interval [A, B] of kth_power_t_window(k, lo, hi) that is
+    counted: the window itself for odd k, its t >= 0 side for even k, where
+    -t has the same value as t.  An empty window gives B < A."""
     segments = kth_power_t_window(k, lo, hi)
     A, B = segments[-1] if segments else (1, 0)
     if k % 2 == 0:
         A = max(A, 0)
-    return segments, A, B
+    return A, B
 
 
 def count_powers_in_ap(k: int, prog: Progression, with_solutions: bool = False,
@@ -200,26 +175,28 @@ def count_powers_in_ap(k: int, prog: Progression, with_solutions: bool = False,
 
     algorithm is "interval", "residue", or "auto": the interval walk for a
     t-window of at most 64 values, the residue stride for one wider than q,
-    and in between the stride when twice a bound on the number of roots of
-    t**k = a (mod q) is below the walk's length (see _choose_algorithm).  A
-    walk longer than WALK_BUDGET, a solution list longer than SOLUTION_CAP,
-    and more roots of t**k = a (mod q) than modroots.ROOT_BUDGET raise
-    CellBudgetError before any of it is done.  The solutions are listed by
-    the algorithm that counted them, so a cell that can be counted can be
-    listed up to SOLUTION_CAP.
+    and in between the stride when twice modroots.root_count_bound is below
+    the walk's length (see _choose_algorithm).  A walk longer than
+    WALK_BUDGET, a solution list longer than SOLUTION_CAP, and more roots of
+    t**k = a (mod q) than modroots.ROOT_BUDGET raise CellBudgetError before
+    any of it is done.  The solutions are listed by the algorithm that
+    counted them, the stride's from the roots it counted, so a cell that
+    can be counted can be listed up to SOLUTION_CAP.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    segments, A, B = _counted_window(k, prog.lo, prog.hi)
+    A, B = _counted_window(k, prog.lo, prog.hi)
     even = k % 2 == 0
     walk = max(B - A + 1, 0)
     if algorithm == "auto":
-        algorithm = _choose_algorithm(k, prog, segments, walk)
+        algorithm = _choose_algorithm(k, prog, A, walk)
+    roots = None
     if algorithm == "interval":
         _check_walk(walk)
         cv = kernels.interval_walk(k, prog.a, prog.q, A, B)
     elif algorithm == "residue":
-        cv = _residue_stride_counts(k, prog, A, B)
+        roots = kth_roots_mod(prog.a, k, prog.q)
+        cv = _residue_stride_counts(roots, prog.q, A, B)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     # t = 0 is its own mirror
@@ -227,7 +204,7 @@ def count_powers_in_ap(k: int, prog: Progression, with_solutions: bool = False,
     solutions = None
     if with_solutions:
         _check_solution_cap(ct)
-        solutions = _power_solutions(k, prog, A, B, algorithm == "interval")
+        solutions = _power_solutions(k, prog, A, B, roots)
         if len(solutions) != ct:
             raise InternalInvariantError(
                 f"solution list length {len(solutions)} != count_t {ct} "
@@ -241,7 +218,7 @@ def _shared_walk(k: int, q: int, lo: int, hi: int,
     [lo, hi] (its t >= 0 side for even k), or None when that window is
     longer than SHARED_WALK_PER_CELL t per cell of the cells it is to serve,
     or than WALK_BUDGET, and so is not walked."""
-    _, A, B = _counted_window(k, lo, hi)
+    A, B = _counted_window(k, lo, hi)
     if B - A + 1 > min(SHARED_WALK_PER_CELL * cells, WALK_BUDGET):
         return None
     classes: dict[int, list[int]] = {}

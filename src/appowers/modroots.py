@@ -1,9 +1,11 @@
 """Solve x**k = a (mod m) for all residue classes.
 
-A composite modulus is split into its prime powers p**e; the root counts of
-the parts are multiplied and checked against ROOT_BUDGET, and the parts are
-recombined with the Chinese remainder theorem.  Only the roots modulo each
-prime power are cached, by (a mod p**e, k, p, e).  Modulo p**e:
+The roots are returned as a sorted tuple.  A composite modulus is split into
+its prime powers p**e; the root counts of the parts are multiplied and
+checked against ROOT_BUDGET, and the parts are recombined with the Chinese
+remainder theorem.  Only the roots modulo each prime power are cached, by
+(a mod p**e, k, p, e).  root_count_bound bounds the number of roots from
+the factorization and the valuations of a alone, finding none.  Modulo p**e:
 
 * a = 0: x**k = 0 exactly when p**ceil(e/k) divides x;
 * p**v exactly divides a: x = p**(v/k) * y (no roots unless k | v), with y a
@@ -20,26 +22,17 @@ prime power are cached, by (a mod p**e, k, p, e).  Modulo p**e:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CellBudgetError
 from .intkernel import factorize, is_prime
 
-__all__ = ["ResidueSet", "kth_roots_mod_prime_power", "kth_roots_mod"]
+__all__ = ["kth_roots_mod_prime_power", "kth_roots_mod", "root_count_bound"]
 
 # Largest prime whose roots come from a table of kth powers mod p.
 SMALL_PRIME = 256
 # Largest root list built; 2**18 roots take about 1 s through the CRT.
 ROOT_BUDGET = 2 ** 18
-
-
-@dataclass(frozen=True)
-class ResidueSet:
-    """Sorted residue classes in [0, modulus) satisfying some congruence."""
-
-    modulus: int
-    residues: tuple[int, ...]
 
 
 def _check_root_count(n: int, what: str = "roots") -> None:
@@ -168,8 +161,9 @@ def _roots_mod_cached(a: int, k: int, p: int, e: int) -> tuple[int, ...]:
     return tuple(scale * (y + j * m) for j in range(free) for y in units)
 
 
-def kth_roots_mod_prime_power(a: int, k: int, p: int, e: int) -> ResidueSet:
-    """All x in [0, p**e) with x**k = a (mod p**e), for a prime p.
+def kth_roots_mod_prime_power(a: int, k: int, p: int,
+                              e: int) -> tuple[int, ...]:
+    """Sorted x in [0, p**e) with x**k = a (mod p**e), for a prime p.
 
     More than ROOT_BUDGET roots raise CellBudgetError before they are listed.
     """
@@ -179,12 +173,11 @@ def kth_roots_mod_prime_power(a: int, k: int, p: int, e: int) -> ResidueSet:
         raise ValueError(f"e must be >= 1, got {e}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    pe = p ** e
-    return ResidueSet(pe, _roots_mod_cached(a % pe, k, p, e))
+    return _roots_mod_cached(a % p ** e, k, p, e)
 
 
-def kth_roots_mod(a: int, k: int, m: int) -> ResidueSet:
-    """All x in [0, m) with x**k = a (mod m); m = 1 yields {0}.
+def kth_roots_mod(a: int, k: int, m: int) -> tuple[int, ...]:
+    """Sorted x in [0, m) with x**k = a (mod m); m = 1 yields (0,).
 
     More than ROOT_BUDGET roots raise CellBudgetError before the CRT.
     """
@@ -197,7 +190,7 @@ def kth_roots_mod(a: int, k: int, m: int) -> ResidueSet:
         pe = p ** e
         roots = _roots_mod_cached(a % pe, k, p, e)
         if not roots:
-            return ResidueSet(m, ())
+            return ()
         parts.append((roots, pe))
         count *= len(roots)
     _check_root_count(count)
@@ -207,4 +200,28 @@ def kth_roots_mod(a: int, k: int, m: int) -> ResidueSet:
         residues = [x1 + mod * ((x2 - x1) * inv % pe)
                     for x1 in residues for x2 in roots]
         mod *= pe
-    return ResidueSet(m, tuple(sorted(residues)))
+    return tuple(sorted(residues))
+
+
+def root_count_bound(a: int, k: int, m: int) -> int:
+    """An upper bound on the number of x in [0, m) with x**k = a (mod m),
+    for m, k >= 1: the product over the prime powers p**e of m of a bound
+    read from k, p**e and the valuation of a at p, or 0 as soon as one
+    prime power has no root."""
+    bound = 1
+    for p, e in factorize(m):
+        v = 0  # min(v_p(a), e)
+        while v < e and a % p ** (v + 1) == 0:
+            v += 1
+        if v == e:  # x**k = 0 (mod p**e) iff p**ceil(e/k) divides x
+            bound *= p ** (e + (-e // k))
+            continue
+        if v % k:
+            return 0
+        # x = p**(v/k) * y with y a unit, y**k fixed mod p**(e-v): at most
+        # gcd(k, phi(p**(e-v))) classes (twice that for p = 2), each of
+        # which leaves the last v - v/k digits of y free.
+        pe = p ** (e - v)
+        bound *= (math.gcd(k, pe - pe // p) * (2 if p == 2 else 1)
+                  * p ** (v - v // k))
+    return bound

@@ -113,8 +113,12 @@ class TestCountPowers:
                 assert cv == ikth_root_floor(N, k), (k, N)
 
 
+def _span_of(k, lo, hi):
+    return sum(B - A + 1 for A, B in kth_power_t_window(k, lo, hi))
+
+
 def _span(k, prog):
-    return sum(B - A + 1 for A, B in kth_power_t_window(k, prog.lo, prog.hi))
+    return _span_of(k, prog.lo, prog.hi)
 
 
 def _refuse(*args, **kwargs):
@@ -234,6 +238,33 @@ class TestChooser:
         squares = sum(math.isqrt(v) ** 2 == v for v in (t0 * t0, t0 * t0 + q))
         assert (rep.count_t, rep.count_values) == (2 * squares, squares) == (2, 1)
 
+    @given(st.integers(min_value=1, max_value=7),
+           st.integers(min_value=-10 ** 12, max_value=10 ** 12),
+           st.integers(min_value=-10 ** 12, max_value=10 ** 12))
+    @settings(max_examples=300)
+    def test_span_is_the_window_width(self, k, x, y):
+        # The chooser reads the window's span off the counted interval
+        # alone.  With more roots than modroots.ROOT_BUDGET, a window of
+        # span S > 64 is strided at q = S - 1 (span > q) and walked at q = S,
+        # so the two calls pin the chooser's span to S; a span of at most 64
+        # is walked even at q = 1.
+        lo, hi = min(x, y), max(x, y)
+        S = _span_of(k, lo, hi)
+        A, B = counting._counted_window(k, lo, hi)
+        walk = max(B - A + 1, 0)
+
+        def choose(q):
+            return counting._choose_algorithm(k, Progression(0, q, 1), A, walk)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(counting, "root_count_bound",
+                       lambda *args: counting.ROOT_BUDGET + 1)
+            if S > 64:
+                assert (choose(S - 1), choose(S)) == (
+                    "residue", "interval"), (k, lo, hi, S)
+            else:
+                assert choose(1) == "interval", (k, lo, hi, S)
+
 
 class TestBudgets:
     def test_walk_budget_is_exact(self, monkeypatch):
@@ -268,7 +299,7 @@ class TestBudgets:
             else:
                 rep = count_powers_in_ap(2, prog)
                 assert 0 < rep.count_values <= rep.count_t
-                assert len(modroots.kth_roots_mod(1, 2, q).residues) == 2 ** w
+                assert len(modroots.kth_roots_mod(1, 2, q)) == 2 ** w
         monkeypatch.setattr(modroots, "ROOT_BUDGET", 2 ** 16 - 1)
         modroots._roots_mod_cached.cache_clear()
         with pytest.raises(CellBudgetError):
@@ -321,6 +352,34 @@ class TestSolutions:
         got = list(count_poly_in_ap(Poly((1, 2)), Progression(1, 2, 3),
                                     with_solutions=True).solutions)
         assert got == [(1, 1), (2, 2), (3, 3)]
+
+    def test_both_algorithms_list_the_oracle_solutions(self):
+        for k in range(2, 6):
+            monomial = (0,) * k + (1,)
+            for q in range(1, 31):
+                for a in range(-q, q + 1):
+                    for N in (1, 10, 100, 500):
+                        prog = Progression(a, q, N)
+                        want = tuple(brute_poly_report(monomial, prog)[2])
+                        for algorithm in ALGORITHMS:
+                            got = count_powers_in_ap(
+                                k, prog, with_solutions=True,
+                                algorithm=algorithm).solutions
+                            assert got == want, (k, q, a, N, algorithm)
+
+    def test_strided_listing_finds_the_roots_once(self, monkeypatch):
+        # the stride's roots serve both its count and its solution list
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return modroots.kth_roots_mod(*args)
+
+        monkeypatch.setattr(counting, "kth_roots_mod", spy)
+        rep = count_powers_in_ap(2, Progression(-23, 24, 1000),
+                                 with_solutions=True, algorithm="residue")
+        assert len(rep.solutions) == rep.count_t > 0
+        assert len(calls) == 1
 
     def test_solution_list_matches_count(self):
         prog = Progression(-11, 12, 500)
@@ -419,9 +478,9 @@ class TestResidueStride:
            st.integers(min_value=-10 ** 6, max_value=10 ** 7))
     @settings(max_examples=300)
     def test_rank_count_matches_per_root_sum(self, q, k, s, A, width):
-        roots = modroots.kth_roots_mod(s ** k, k, q).residues
+        roots = modroots.kth_roots_mod(s ** k, k, q)
         B = A + width  # a negative width leaves the segment empty
-        assert (counting._count_classes(roots, q, A, B)
+        assert (counting._residue_stride_counts(roots, q, A, B)
                 == classes_count(roots, q, A, B))
 
     @given(st.sampled_from(ROOT_RICH), st.integers(min_value=2, max_value=5),
@@ -433,8 +492,9 @@ class TestResidueStride:
         # a kth-power residue, moved so that lo is negative for shift < 0
         a = s ** k % q + shift * q
         prog = Progression(a, q, N)
+        roots = modroots.kth_roots_mod(a, k, q)
         for A, B in kth_power_t_window(k, prog.lo, prog.hi):
-            assert (counting._residue_stride_counts(k, prog, A, B)
+            assert (counting._residue_stride_counts(roots, q, A, B)
                     == kernels.interval_walk(k, a, q, A, B))
 
 

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from appowers import modroots
 from appowers.errors import CellBudgetError
 from appowers.intkernel import is_prime
-from appowers.modroots import (ResidueSet, kth_roots_mod,
-                               kth_roots_mod_prime_power)
+from appowers.modroots import kth_roots_mod, kth_roots_mod_prime_power
 
 
 def brute_roots(a, k, m):
@@ -22,7 +21,7 @@ class TestPrimePower:
         (2, 2, 7, 1, (3, 4)),
     ])
     def test_examples(self, a, k, p, e, want):
-        assert kth_roots_mod_prime_power(a, k, p, e).residues == want
+        assert kth_roots_mod_prime_power(a, k, p, e) == want
 
     def test_rejects_composite_p(self):
         with pytest.raises(ValueError):
@@ -32,7 +31,7 @@ class TestPrimePower:
         # no cap on p**e: the four square roots of 1 are +-1 and 2**(e-1) +- 1
         for e in (24, 31, 40):
             half = 2 ** (e - 1)
-            assert kth_roots_mod_prime_power(1, 2, 2, e).residues == \
+            assert kth_roots_mod_prime_power(1, 2, 2, e) == \
                 (1, half - 1, half + 1, 2 * half - 1)
 
     def test_root_budget(self):
@@ -48,7 +47,7 @@ class TestPrimePower:
         # exactly ROOT_BUDGET = 2**b roots, of x**2 = 0 (mod 2**(2b)), are listed
         b = modroots.ROOT_BUDGET.bit_length() - 1
         assert modroots.ROOT_BUDGET == 2 ** b
-        assert len(kth_roots_mod_prime_power(0, 2, 2, 2 * b).residues) == 2 ** b
+        assert len(kth_roots_mod_prime_power(0, 2, 2, 2 * b)) == 2 ** b
 
     def test_singular_lifting_grid(self):
         # p | k and a = 0 mod p exercise the branching lift paths
@@ -57,7 +56,7 @@ class TestPrimePower:
                 pe = p ** e
                 for k in (2, 3, 4, 6):
                     for a in range(pe):
-                        got = kth_roots_mod_prime_power(a, k, p, e).residues
+                        got = kth_roots_mod_prime_power(a, k, p, e)
                         assert got == brute_roots(a, k, pe), (a, k, p, e)
 
 
@@ -74,7 +73,7 @@ class TestLargePrimes:
         for x in range(p):
             table.setdefault(pow(x, k, p), []).append(x)
         for a in range(p):
-            assert kth_roots_mod_prime_power(a, k, p, 1).residues == \
+            assert kth_roots_mod_prime_power(a, k, p, 1) == \
                 tuple(table.get(a, ())), (a, k, p)
 
     @given(st.integers(min_value=10 ** 12, max_value=10 ** 40),
@@ -87,7 +86,7 @@ class TestLargePrimes:
         if kth_power:  # else a is a kth power with chance 1/gcd(k, p-1)
             a = pow(a, k, p)
         d = math.gcd(k, p - 1)
-        roots = kth_roots_mod_prime_power(a, k, p, 1).residues
+        roots = kth_roots_mod_prime_power(a, k, p, 1)
         assert len(roots) == (d if pow(a, (p - 1) // d, p) == 1 else 0)
         assert list(roots) == sorted(set(roots))
         for r in roots:
@@ -98,19 +97,19 @@ class TestLargePrimes:
         for p in (2053, 10007):
             for k in (2, 3, 4, 6):
                 for a in (1, 2, 3, 7 ** k, p, p * p, 5 * p ** 2):
-                    got = kth_roots_mod_prime_power(a, k, p, 3).residues
+                    got = kth_roots_mod_prime_power(a, k, p, 3)
                     assert got == tuple(sorted(set(got)))
                     for r in got:
                         assert pow(r, k, p ** 3) == a % p ** 3
                     if a == 7 ** k:
                         assert len(got) == math.gcd(k, p - 1)
             # x**2 = 0 (mod p**3) iff p**2 | x; x**3 = 0 iff p | x
-            assert kth_roots_mod_prime_power(0, 2, p, 3).residues == \
+            assert kth_roots_mod_prime_power(0, 2, p, 3) == \
                 tuple(range(0, p ** 3, p ** 2))
             with pytest.raises(CellBudgetError):  # p**2 roots
                 kth_roots_mod_prime_power(p ** 3, 3, p, 3)
         # x = 10007*y, y**2 = 2 (mod 10007): the next digit of y is free
-        roots = kth_roots_mod_prime_power(2 * 10007 ** 2, 2, 10007, 3).residues
+        roots = kth_roots_mod_prime_power(2 * 10007 ** 2, 2, 10007, 3)
         assert len(roots) == 2 * 10007
 
 
@@ -121,11 +120,10 @@ class TestCompositeModulus:
         (3, 2, 4, ()),
     ])
     def test_examples(self, a, k, m, want):
-        rs = kth_roots_mod(a, k, m)
-        assert rs == ResidueSet(m, want)
+        assert kth_roots_mod(a, k, m) == want
 
     def test_modulus_one(self):
-        assert kth_roots_mod(5, 3, 1).residues == (0,)
+        assert kth_roots_mod(5, 3, 1) == (0,)
 
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):
@@ -135,7 +133,7 @@ class TestCompositeModulus:
         for m in range(1, 301):
             for k in (2, 3, 4, 5):
                 for a in range(m):
-                    got = kth_roots_mod(a, k, m).residues
+                    got = kth_roots_mod(a, k, m)
                     assert got == brute_roots(a, k, m), (a, k, m)
 
     @given(st.integers(min_value=1, max_value=400),
@@ -143,10 +141,9 @@ class TestCompositeModulus:
            st.integers(min_value=-1000, max_value=1000))
     @settings(max_examples=200)
     def test_every_residue_verifies(self, m, k, a):
-        rs = kth_roots_mod(a, k, m)
-        assert rs.modulus == m
-        assert list(rs.residues) == sorted(set(rs.residues))
-        for r in rs.residues:
+        roots = kth_roots_mod(a, k, m)
+        assert list(roots) == sorted(set(roots))
+        for r in roots:
             assert 0 <= r < m
             assert pow(r, k, m) == a % m
 
@@ -155,9 +152,9 @@ class TestCompositeModulus:
             assert math.gcd(m1, m2) == 1
             for k in (2, 3, 4):
                 for a in range(0, m1 * m2, 7):
-                    n = len(kth_roots_mod(a, k, m1 * m2).residues)
-                    n1 = len(kth_roots_mod(a, k, m1).residues)
-                    n2 = len(kth_roots_mod(a, k, m2).residues)
+                    n = len(kth_roots_mod(a, k, m1 * m2))
+                    n1 = len(kth_roots_mod(a, k, m1))
+                    n2 = len(kth_roots_mod(a, k, m2))
                     assert n == n1 * n2, (a, k, m1, m2)
 
 
@@ -168,13 +165,34 @@ class TestRootsCache:
         modroots._roots_mod_cached.cache_clear()
         kth_roots_mod(4, 2, 360)  # 360 = 2**3 * 3**2 * 5
         hits = modroots._roots_mod_cached.cache_info().hits
-        assert kth_roots_mod_prime_power(4, 2, 3, 2).residues == (2, 7)
+        assert kth_roots_mod_prime_power(4, 2, 3, 2) == (2, 7)
         assert modroots._roots_mod_cached.cache_info().hits == hits + 1
 
     def test_root_budget_holds_on_a_warm_cache(self, monkeypatch):
         # 2**16 square roots of 1 mod the product of the first 16 odd primes
         q = math.prod([p for p in range(3, 80) if is_prime(p)][:16])
-        assert len(kth_roots_mod(1, 2, q).residues) == 2 ** 16
+        assert len(kth_roots_mod(1, 2, q)) == 2 ** 16
         monkeypatch.setattr(modroots, "ROOT_BUDGET", 2 ** 16 - 1)
         with pytest.raises(CellBudgetError):
             kth_roots_mod(1, 2, q)
+
+
+class TestRootCountBound:
+    """root_count_bound, from the factorization and valuations alone, is
+    never below the number of roots, so a bound of 0 means no roots."""
+
+    MODULI = (list(range(1, 201)) + [2 ** e for e in range(8, 13)]
+              + [3 ** e for e in range(5, 8)] + [5 ** e for e in range(4, 6)])
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_never_undercounts(self, k):
+        zeros = 0
+        for m in self.MODULI:
+            for a in range(m):
+                n = len(kth_roots_mod(a, k, m))
+                bound = modroots.root_count_bound(a, k, m)
+                assert bound >= n, (a, k, m, bound, n)
+                assert bound or not n, (a, k, m)
+                assert modroots.root_count_bound(a - m, k, m) == bound
+                zeros += bound == 0
+        assert zeros or k == 1  # the early return for a rootless p**e runs
