@@ -8,8 +8,11 @@ the walk's length in t against modroots.root_count_bound, a bound on the
 number of roots of t**k = a (mod q) that the stride counts.  A strided call
 finds those roots once, for both its count and its solution list.
 count_power_cells counts many cells of one (k, q) from one interval walk
-shared among them: _shared_walk bins that walk's t**k by class mod q, and
-search.extremal_search bounds whole classes by the length of their lists.
+shared among them: _shared_walk bins that walk's t**k by class mod q.
+search.extremal_search takes that walk where it is at most q t long, and
+elsewhere _power_table, which bins x in [0, q) by x**k mod q and so lists the
+roots of every class at once; it bounds whole classes by their counts over
+the walk's window.
 """
 from __future__ import annotations
 
@@ -212,20 +215,24 @@ def count_powers_in_ap(k: int, prog: Progression, with_solutions: bool = False,
     return CountReport(ct, cv, solutions)
 
 
-def _shared_walk(k: int, q: int, lo: int, hi: int,
-                 cells: int) -> dict[int, list[int]] | None:
-    """{class mod q: ascending list of t**k} over the counted window of
-    [lo, hi] (its t >= 0 side for even k), or None when that window is
-    longer than SHARED_WALK_PER_CELL t per cell of the cells it is to serve,
-    or than WALK_BUDGET, and so is not walked."""
-    A, B = _counted_window(k, lo, hi)
-    if B - A + 1 > min(SHARED_WALK_PER_CELL * cells, WALK_BUDGET):
-        return None
+def _shared_walk(k: int, q: int, A: int, B: int) -> dict[int, list[int]]:
+    """{class mod q: ascending list of t**k} over the t in [A, B], a counted
+    window (t >= 0 for even k, so the values ascend with t)."""
     classes: dict[int, list[int]] = {}
     for t in range(A, B + 1):
         v = t ** k
         classes.setdefault(v % q, []).append(v)
     return classes
+
+
+def _power_table(k: int, q: int) -> dict[int, list[int]]:
+    """{class mod q: ascending list of the x in [0, q) with x**k in it}: the
+    roots of t**k = a (mod q) for every a at once, from q pow calls and no
+    factoring, lifting or CRT."""
+    table: dict[int, list[int]] = {}
+    for x in range(q):
+        table.setdefault(pow(x, k, q), []).append(x)
+    return table
 
 
 def count_power_cells(k: int, q: int,
@@ -248,11 +255,12 @@ def count_power_cells(k: int, q: int,
         return []
     if q < 1 or min(N for _, N in cells) < 1:
         raise ValueError("step q and every length N must be >= 1")
-    classes = _shared_walk(k, q, min(a for a, _ in cells) + q,
-                           max(a + N * q for a, N in cells), len(cells))
-    if classes is None:
+    A, B = _counted_window(k, min(a for a, _ in cells) + q,
+                           max(a + N * q for a, N in cells))
+    if B - A + 1 > min(SHARED_WALK_PER_CELL * len(cells), WALK_BUDGET):
         reps = (count_powers_in_ap(k, Progression(a, q, N)) for a, N in cells)
         return [(rep.count_t, rep.count_values) for rep in reps]
+    classes = _shared_walk(k, q, A, B)
     even = k % 2 == 0
     out = []
     for a, N in cells:

@@ -3,15 +3,18 @@
 The supremum over offsets is genuinely unbounded, but the count depends on a
 only through a mod q and the interval position, so the search sweeps residues
 r in [0, q) plus an optional window of whole-step shifts s, i.e.
-a = r + s*q with s in [-a_window, a_window].
+a = r + s*q with s in [-a_window, a_window].  Each q's cells are counted
+from one shared walk of t**k, or, where that walk would be longer than q,
+from one table of x**k mod q; neither factors q.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .counting import (CountReport, Progression, _shared_walk,
-                       count_power_cells, count_powers_in_ap)
+from .counting import (CountReport, Progression, _counted_window,
+                       _power_table, _residue_stride_counts, _shared_walk,
+                       count_powers_in_ap)
 from .errors import CellBudgetError
 
 __all__ = ["SearchRecord", "extremal_search", "rudin_count",
@@ -51,15 +54,18 @@ def extremal_search(k: int, N: int, q_max: int, a_window: int = 0,
     """Exact maximum of count_values over the parametrized cell grid, by
     branch and bound, with every tying cell, sorted by (q, a).
 
-    Each q's grid is served by one shared walk (counting._shared_walk) over
-    its hull, which lists the kth powers there by class mod q.  A cell
-    a = r + s*q holds only values of class r in that hull, so a class whose
-    list is shorter than the best count so far is skipped whole; the other
-    cells cost two bisects each.  Where that walk would be long, the q's
-    cells are counted by counting.count_power_cells instead.
-    cells_evaluated is the grid's size.  Exceeds the cell budget ->
-    CellBudgetError before any evaluation.  ``threads`` is accepted and
-    ignored.
+    Each q's grid lies in one hull, whose counted window [A, B] of t
+    (counting._counted_window) serves all of its cells.  A window of at most
+    q t is walked once (counting._shared_walk), listing the kth powers there
+    by class mod q, and a cell costs two bisects in its class's list.  A
+    longer window costs more than q pow calls, so it is not walked: one
+    table of x**k mod q for x in [0, q) (counting._power_table) lists every
+    class's roots, and a cell is counted by residue stride over its own
+    window.  A cell a = r + s*q holds only
+    values of class r in the hull, so a class with fewer t in [A, B] than
+    the best count so far is skipped whole.  cells_evaluated is the grid's
+    size.  Exceeds the cell budget -> CellBudgetError before any
+    evaluation.  ``threads`` is accepted and ignored.
     """
     if k < 2:
         raise ValueError(f"extremal search needs k >= 2, got {k}")
@@ -71,25 +77,38 @@ def extremal_search(k: int, N: int, q_max: int, a_window: int = 0,
             f"search would evaluate {total} cells, budget is {cell_budget}")
     best = -1
     cells: list[tuple[int, int]] = []
-    shifts = range(-a_window, a_window + 1)
     for q in range(1, q_max + 1):
-        classes = _shared_walk(k, q, q - a_window * q,
-                               q - 1 + a_window * q + N * q, q * len(shifts))
-        if classes is None:
-            grid = [(r + s * q, N) for r in range(q) for s in shifts]
-            counts = iter(count_power_cells(k, q, grid))
-        for r in range(q):
-            if classes is None:
-                found = [(r + s * q, next(counts)[1]) for s in shifts]
-            else:
-                values = classes.get(r, ())
-                # each cell's count <= len(values) < best <= the final best
-                if len(values) < best:
-                    continue
-                found = [(a, bisect_right(values, a + N * q)
-                          - bisect_left(values, a + q))
-                         for a in (r + s * q for s in shifts)]
-            for a, cv in found:
+        A, B = _counted_window(k, q - a_window * q,
+                               q - 1 + a_window * q + N * q)
+        if B - A + 1 <= q:
+            walked = _shared_walk(k, q, A, B)
+            classes = ((r, len(values), values)
+                       for r, values in walked.items())
+
+            def count(values, a):
+                return (bisect_right(values, a + N * q)
+                        - bisect_left(values, a + q))
+        else:
+            table = _power_table(k, q)
+            # no root has more than `most` t in [A, B], so a class whose
+            # roots times that is below the best is skipped before its stride
+            most = (B - A) // q + 1
+            classes = ((r, _residue_stride_counts(roots, q, A, B), roots)
+                       for r, roots in table.items()
+                       if len(roots) * most >= best)
+
+            def count(roots, a):
+                return _residue_stride_counts(
+                    roots, q, *_counted_window(k, a + q, a + N * q))
+        # A class with no value in the hull, or no root mod q, is not listed:
+        # its cells count 0, and the cell (1, 0), whose terms 1..N hold
+        # 1 = 1**k, counts at least 1.
+        for r, in_hull, members in classes:
+            # each cell's count <= in_hull < best <= the final best
+            if in_hull < best:
+                continue
+            for a in range(r - a_window * q, r + a_window * q + 1, q):
+                cv = count(members, a)
                 if cv > best:
                     best, cells = cv, [(q, a)]
                 elif cv == best:

@@ -498,6 +498,19 @@ class TestResidueStride:
                     == kernels.interval_walk(k, a, q, A, B))
 
 
+class TestPowerTable:
+    """One table of x**k mod q lists the roots of every class of q."""
+
+    def test_matches_enumeration(self):
+        for q in range(1, 201):
+            for k in range(1, 7):
+                powers = [x ** k % q for x in range(q)]
+                table = counting._power_table(k, q)
+                assert sorted(table) == sorted(set(powers)), (q, k)
+                for a, xs in table.items():
+                    assert xs == [x for x in range(q) if powers[x] == a], (q, k)
+
+
 def _grid(q, a_mode, N_set):
     a_values = range(-q, q + 1) if a_mode == "window" else range(q)
     return [(a, N) for a in a_values for N in N_set]

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from appowers import counting, search
+from appowers import counting, intkernel, modroots, search
 from appowers.counting import Progression, count_power_cells, count_powers_in_ap
 from appowers.errors import CellBudgetError
 from appowers.search import extremal_search, rudin_count, rudin_progression
@@ -105,31 +105,58 @@ class TestExtremalSearch:
                 cell for cell, n in cv.items() if n == best)), N
 
     def test_prunes_classes(self, monkeypatch):
-        walks = {}
-        counted = []
+        # N = 1000: q takes the table where its hull's window of about
+        # (1002 q)**(1/k) t is longer than q, and walks it elsewhere; a cell
+        # counted from the table asks for its own window, each q's hull for
+        # one more, and a walked cell calls bisect_left once
+        tables, walks, windows, counted = [], [], [], []
 
-        def spy_walk(k, q, lo, hi, cells):
-            walks[q] = counting._shared_walk(k, q, lo, hi, cells)
-            return walks[q]
+        def spy_table(k, q):
+            tables.append(q)
+            return counting._power_table(k, q)
 
-        def spy_cells(k, q, cells):
-            counted.extend(cells)
-            return count_power_cells(k, q, cells)
+        def spy_walk(k, q, A, B):
+            walks.append(q)
+            return counting._shared_walk(k, q, A, B)
+
+        def spy_window(k, lo, hi):
+            windows.append((lo, hi))
+            return counting._counted_window(k, lo, hi)
 
         def spy_bisect(values, x):
             counted.append(x)
             return bisect.bisect_left(values, x)
 
+        monkeypatch.setattr(search, "_power_table", spy_table)
         monkeypatch.setattr(search, "_shared_walk", spy_walk)
-        monkeypatch.setattr(search, "count_power_cells", spy_cells)
+        monkeypatch.setattr(search, "_counted_window", spy_window)
         monkeypatch.setattr(search, "bisect_left", spy_bisect)
-        rec = extremal_search(2, 1000, 80, a_window=1)
-        assert list(walks) == list(range(1, 81))
-        # q = 1 alone walks 32 t for its 3 cells, more than
-        # SHARED_WALK_PER_CELL t per cell, so its cells are counted one by one
-        assert [q for q, classes in walks.items() if classes is None] == [1]
-        assert len(counted) < rec.cells_evaluated / 100
-        assert rec.cells_evaluated == 9720
+        for k, tabled in ((2, 80), (3, 31)):
+            for spied in (tables, walks, windows, counted):
+                spied.clear()
+            rec = extremal_search(k, 1000, 80, a_window=1)
+            assert tables == list(range(1, tabled + 1)), k
+            assert walks == list(range(tabled + 1, 81)), k
+            cells = len(counted) + len(windows) - 80
+            assert 0 < cells < rec.cells_evaluated / 100, k
+            assert rec.cells_evaluated == 9720
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_table_needs_no_roots(self, monkeypatch, k):
+        # N = 10**12: every q's window is longer than q, and its table finds
+        # the roots of every class without factoring, lifting or the CRT
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search left the table")
+
+        for module, name in ((counting, "count_powers_in_ap"),
+                             (search, "count_powers_in_ap"),
+                             (counting, "kth_roots_mod"),
+                             (modroots, "kth_roots_mod"),
+                             (modroots, "factorize"),
+                             (intkernel, "factorize")):
+            monkeypatch.setattr(module, name, refuse)
+        rec = extremal_search(k, 10 ** 12, 80, a_window=1)
+        assert rec.best_count_values == {2: 1632993, 3: 10000}[k]
 
     @pytest.mark.parametrize("k,digest", [
         (2, "1bf06258c8df3a9295beaf8a855e423744b47df6df1c996f099941ec6d2d427b"),
@@ -147,8 +174,9 @@ class TestExtremalSearch:
         (3, "8e8d90d05b87db24ba60bdcf838a9171c55b1c12cabb23c5c19c7086671260fb"),
     ])
     def test_output_pinned_unwalked(self, k, digest):
-        # N = 10**12 is too long a walk, so each q's cells are counted by
-        # count_power_cells; sha256 recorded before the search pruned
+        # N = 10**12 is too long a walk, so each q's cells are counted from
+        # its table of x**k mod q; sha256 recorded while each cell was
+        # counted on its own
         rec = extremal_search(k, 10 ** 12, 80, a_window=1)
         text = json.dumps(rec.to_jsonable(), sort_keys=True,
                           separators=(",", ":"))
@@ -158,9 +186,9 @@ class TestExtremalSearch:
         def no_cell(*args, **kwargs):
             raise AssertionError("a cell ran before the budget check")
 
-        monkeypatch.setattr(search, "count_power_cells", no_cell)
         monkeypatch.setattr(search, "count_powers_in_ap", no_cell)
         monkeypatch.setattr(search, "_shared_walk", no_cell)
+        monkeypatch.setattr(search, "_power_table", no_cell)
         with pytest.raises(CellBudgetError):
             extremal_search(2, 10, 10 ** 5, cell_budget=1000)
         with pytest.raises(CellBudgetError,
