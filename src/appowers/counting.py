@@ -7,12 +7,11 @@ They cross-check each other in the test suite.  ``auto`` picks between them by
 the walk's length in t against modroots.root_count_bound, a bound on the
 number of roots of t**k = a (mod q) that the stride counts.  A strided call
 finds those roots once, for both its count and its solution list.
-count_power_cells counts many cells of one (k, q) from one interval walk
-shared among them: _shared_walk bins that walk's t**k by class mod q.
-search.extremal_search takes that walk where it is at most q t long, and
-elsewhere _power_table, which bins x in [0, q) by x**k mod q and so lists the
-roots of every class at once; it bounds whole classes by their counts over
-the walk's window.
+count_power_cells and search.extremal_search count every cell of one (k, q)
+through _power_classes, which bins the kth powers of the hull's window by
+class mod q: from one interval walk where the caller's limit allows it, and
+elsewhere from one table of x**k mod q for x in [0, q), which lists the
+roots of every class at once.
 """
 from __future__ import annotations
 
@@ -40,10 +39,10 @@ WALK_BUDGET = 10 ** 7
 # Largest count_t whose solution list is built.
 SOLUTION_CAP = 10 ** 6
 # Longest shared walk of count_power_cells, in walked t per cell counted.
-# A walked t costs about 0.3 us and keeps one list entry; a
-# count_powers_in_ap call costs 5-10 us (k = 2..4).  So the walk stays
-# cheaper than counting the cells one by one, and its lists within a few
-# times the size of the result.
+# A walked t costs about 0.3 us and keeps one list entry; a cell counted
+# from the table of x**k mod q costs 3-7 us (k = 2..4), mostly the integer
+# roots of its own window.  So the walk stays no dearer than the table, and
+# its lists within a few times the size of the result.
 SHARED_WALK_PER_CELL = 8
 
 
@@ -215,24 +214,33 @@ def count_powers_in_ap(k: int, prog: Progression, with_solutions: bool = False,
     return CountReport(ct, cv, solutions)
 
 
-def _shared_walk(k: int, q: int, A: int, B: int) -> dict[int, list[int]]:
-    """{class mod q: ascending list of t**k} over the t in [A, B], a counted
-    window (t >= 0 for even k, so the values ascend with t)."""
+def _power_classes(k: int, q: int, A: int, B: int, limit: int):
+    """(classes, in_window, count) for the kth powers of the t in [A, B], a
+    counted window (t >= 0 for even k, so t**k ascends with t).
+
+    classes maps each class mod q that holds a kth power to its members:
+    with B - A + 1 <= limit, the ascending t**k of a walk over [A, B];
+    otherwise the ascending x in [0, q) with x**k in the class, from one
+    table of q pow calls charged against WALK_BUDGET, so that no q is
+    factored, lifted or combined by the CRT.  in_window(members) is the
+    number of t in [A, B] that a class holds, and count(members, lo, hi)
+    the number of t in the counted window of [lo, hi], a value range within
+    the one [A, B] came from: two bisects by value on a walk, a residue
+    stride over the cell's own window on a table.
+    """
     classes: dict[int, list[int]] = {}
-    for t in range(A, B + 1):
-        v = t ** k
-        classes.setdefault(v % q, []).append(v)
-    return classes
-
-
-def _power_table(k: int, q: int) -> dict[int, list[int]]:
-    """{class mod q: ascending list of the x in [0, q) with x**k in it}: the
-    roots of t**k = a (mod q) for every a at once, from q pow calls and no
-    factoring, lifting or CRT."""
-    table: dict[int, list[int]] = {}
+    if B - A + 1 <= limit:
+        for t in range(A, B + 1):
+            v = t ** k
+            classes.setdefault(v % q, []).append(v)
+        return classes, len, (lambda values, lo, hi:
+                              bisect_right(values, hi) - bisect_left(values, lo))
+    _check_walk(q)
     for x in range(q):
-        table.setdefault(pow(x, k, q), []).append(x)
-    return table
+        classes.setdefault(pow(x, k, q), []).append(x)
+    return (classes, lambda roots: _residue_stride_counts(roots, q, A, B),
+            lambda roots, lo, hi: _residue_stride_counts(
+                roots, q, *_counted_window(k, lo, hi)))
 
 
 def count_power_cells(k: int, q: int,
@@ -241,13 +249,13 @@ def count_power_cells(k: int, q: int,
     Progression(a, q, N) for (a, N) in cells, in order, as
     count_powers_in_ap would count them one by one.
 
-    Every cell's values lie in [min a + q, max a + N*q], so one interval walk
-    over that interval's kth-root window (its t >= 0 side for even k) bins
-    every t**k by its class mod q, ascending; a cell's count_values is then
-    two bisects in the list of its class a mod q, and count_t follows by
-    count_powers_in_ap's even-k mirror.  A window longer than
-    SHARED_WALK_PER_CELL t per cell, or than WALK_BUDGET, is not walked:
-    each cell is then counted by count_powers_in_ap.
+    Every cell's values lie in [min a + q, max a + N*q], whose counted
+    window is walked once where it is at most SHARED_WALK_PER_CELL t per
+    cell and within WALK_BUDGET, and is otherwise replaced by one table of
+    x**k mod q (_power_classes); a cell's count_values is then counted in
+    the list of its class a mod q, and count_t follows by
+    count_powers_in_ap's even-k mirror.  A table for q > WALK_BUDGET raises
+    CellBudgetError before any cell is counted.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -257,17 +265,15 @@ def count_power_cells(k: int, q: int,
         raise ValueError("step q and every length N must be >= 1")
     A, B = _counted_window(k, min(a for a, _ in cells) + q,
                            max(a + N * q for a, N in cells))
-    if B - A + 1 > min(SHARED_WALK_PER_CELL * len(cells), WALK_BUDGET):
-        reps = (count_powers_in_ap(k, Progression(a, q, N)) for a, N in cells)
-        return [(rep.count_t, rep.count_values) for rep in reps]
-    classes = _shared_walk(k, q, A, B)
+    classes, _, count = _power_classes(
+        k, q, A, B, min(SHARED_WALK_PER_CELL * len(cells), WALK_BUDGET))
     even = k % 2 == 0
     out = []
     for a, N in cells:
         r = a % q
         lo, hi = a + q, a + N * q
-        values = classes.get(r, ())
-        cv = bisect_right(values, hi) - bisect_left(values, lo)
+        members = classes.get(r)
+        cv = count(members, lo, hi) if members else 0
         # t = 0 is its own mirror
         out.append((2 * cv - (lo <= 0 <= hi and r == 0) if even else cv, cv))
     return out

@@ -4,17 +4,15 @@ The supremum over offsets is genuinely unbounded, but the count depends on a
 only through a mod q and the interval position, so the search sweeps residues
 r in [0, q) plus an optional window of whole-step shifts s, i.e.
 a = r + s*q with s in [-a_window, a_window].  Each q's cells are counted
-from one shared walk of t**k, or, where that walk would be longer than q,
-from one table of x**k mod q; neither factors q.
+by counting._power_classes, from one shared walk of t**k or, where that walk
+would be longer than q, from one table of x**k mod q; neither factors q.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .counting import (CountReport, Progression, _counted_window,
-                       _power_table, _residue_stride_counts, _shared_walk,
-                       count_powers_in_ap)
+                       _power_classes, count_powers_in_ap)
 from .errors import CellBudgetError
 
 __all__ = ["SearchRecord", "extremal_search", "rudin_count",
@@ -55,17 +53,15 @@ def extremal_search(k: int, N: int, q_max: int, a_window: int = 0,
     branch and bound, with every tying cell, sorted by (q, a).
 
     Each q's grid lies in one hull, whose counted window [A, B] of t
-    (counting._counted_window) serves all of its cells.  A window of at most
-    q t is walked once (counting._shared_walk), listing the kth powers there
-    by class mod q, and a cell costs two bisects in its class's list.  A
-    longer window costs more than q pow calls, so it is not walked: one
-    table of x**k mod q for x in [0, q) (counting._power_table) lists every
-    class's roots, and a cell is counted by residue stride over its own
-    window.  A cell a = r + s*q holds only
-    values of class r in the hull, so a class with fewer t in [A, B] than
-    the best count so far is skipped whole.  cells_evaluated is the grid's
-    size.  Exceeds the cell budget -> CellBudgetError before any
-    evaluation.  ``threads`` is accepted and ignored.
+    (counting._counted_window) serves all of its cells.
+    counting._power_classes walks a window of at most q t, listing the kth
+    powers there by class mod q; a longer window costs more than q pow
+    calls, so one table of x**k mod q for x in [0, q) lists every class's
+    roots instead.  A cell a = r + s*q holds only values of class r in the
+    hull, so a class with fewer t in [A, B] than the best count so far is
+    skipped whole.  cells_evaluated is the grid's size.  Exceeds the cell
+    budget -> CellBudgetError before any evaluation.  ``threads`` is
+    accepted and ignored.
     """
     if k < 2:
         raise ValueError(f"extremal search needs k >= 2, got {k}")
@@ -80,35 +76,20 @@ def extremal_search(k: int, N: int, q_max: int, a_window: int = 0,
     for q in range(1, q_max + 1):
         A, B = _counted_window(k, q - a_window * q,
                                q - 1 + a_window * q + N * q)
-        if B - A + 1 <= q:
-            walked = _shared_walk(k, q, A, B)
-            classes = ((r, len(values), values)
-                       for r, values in walked.items())
-
-            def count(values, a):
-                return (bisect_right(values, a + N * q)
-                        - bisect_left(values, a + q))
-        else:
-            table = _power_table(k, q)
-            # no root has more than `most` t in [A, B], so a class whose
-            # roots times that is below the best is skipped before its stride
-            most = (B - A) // q + 1
-            classes = ((r, _residue_stride_counts(roots, q, A, B), roots)
-                       for r, roots in table.items()
-                       if len(roots) * most >= best)
-
-            def count(roots, a):
-                return _residue_stride_counts(
-                    roots, q, *_counted_window(k, a + q, a + N * q))
+        classes, in_window, count = _power_classes(k, q, A, B, q)
+        # no member has more than `most` t in [A, B] (one, on a walk), so a
+        # class whose members times that is below the best is skipped
+        # before in_window counts it
+        most = (B - A) // q + 1
         # A class with no value in the hull, or no root mod q, is not listed:
         # its cells count 0, and the cell (1, 0), whose terms 1..N hold
         # 1 = 1**k, counts at least 1.
-        for r, in_hull, members in classes:
-            # each cell's count <= in_hull < best <= the final best
-            if in_hull < best:
+        for r, members in classes.items():
+            # each cell's count <= in_window < best <= the final best
+            if len(members) * most < best or in_window(members) < best:
                 continue
             for a in range(r - a_window * q, r + a_window * q + 1, q):
-                cv = count(members, a)
+                cv = count(members, a + q, a + N * q)
                 if cv > best:
                     best, cells = cv, [(q, a)]
                 elif cv == best:

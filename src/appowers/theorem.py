@@ -202,7 +202,8 @@ def _sweep_task(report: SweepReport, k: int, q: int) -> None:
     """Check the cells of one (k, q) pair, folding them into report.
 
     The first pass counts every cell with one counting.count_power_cells
-    call, then in increasing (a, N) checks each cell's bound, folds its
+    call, from one walk or one table of x**k mod q for the whole (k, q),
+    then in increasing (a, N) checks each cell's bound, folds its
     ratios and appends its row.  The ratios are compared with the
     running maxima by cross-multiplication; a Fraction is built only for a
     new maximum.  The second pass witnesses the cells with
@@ -277,10 +278,10 @@ def verify_bound_sweep(k_set, q_max: int, N_set, a_mode: str = "window",
     the lexicographically first cell.  A grid of more than
     search.DEFAULT_CELL_BUDGET cells raises CellBudgetError before any cell
     runs, and so does a k or an N below 1 (ValueError).  The cells of a
-    (k, q) are counted together, by one shared walk where it is short
-    (counting.count_power_cells); a bound violation raises at the first
-    violating cell of its (k, q), before any witness of that (k, q) is
-    checked.  Every solution pair of a cell with
+    (k, q) are counted together, by one shared walk where it is short and
+    else one table of x**k mod q (counting.count_power_cells); a bound
+    violation raises at the first violating cell of its (k, q), before any
+    witness of that (k, q) is checked.  Every solution pair of a cell with
     2 <= count_t <= WITNESS_PAIR_CAP gets its witness checked once, as a
     pair of the one solution list of its class a mod q: see _sweep_task.
     witness_pairs counts each pair in every such cell that contains it.

@@ -505,10 +505,27 @@ class TestPowerTable:
         for q in range(1, 201):
             for k in range(1, 7):
                 powers = [x ** k % q for x in range(q)]
-                table = counting._power_table(k, q)
+                # a window longer than the limit takes the table
+                A, B = 3, 2 * q + 7
+                table, in_window, _ = counting._power_classes(k, q, A, B, 0)
                 assert sorted(table) == sorted(set(powers)), (q, k)
                 for a, xs in table.items():
                     assert xs == [x for x in range(q) if powers[x] == a], (q, k)
+                    assert in_window(xs) == sum(
+                        powers[t % q] == a for t in range(A, B + 1)), (q, k)
+
+
+def _spy_tables(monkeypatch):
+    """Record, for each counting._power_classes call, whether it tables."""
+    tabled = []
+    real = counting._power_classes
+
+    def spy(k, q, A, B, limit):
+        tabled.append(B - A + 1 > limit)
+        return real(k, q, A, B, limit)
+
+    monkeypatch.setattr(counting, "_power_classes", spy)
+    return tabled
 
 
 def _grid(q, a_mode, N_set):
@@ -538,7 +555,7 @@ class TestCountPowerCells:
                                    for r in reps], (q, N_set, algorithm)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_shared_walk_or_per_cell_fallback(self, monkeypatch, k):
+    def test_walk_or_table(self, monkeypatch, k):
         per_cell = []
         real = counting.count_powers_in_ap
 
@@ -547,27 +564,53 @@ class TestCountPowerCells:
             return real(k, prog, **kwargs)
 
         monkeypatch.setattr(counting, "count_powers_in_ap", spy)
+        tabled = _spy_tables(monkeypatch)
         for q in range(1, 41):
             for N_set in ((1,), (1, 7, 50), (10, 100, 1000)):
                 count_power_cells(k, q, _grid(q, "window", N_set))
+            assert tabled == [False] * 3
+            # a kth-root window of millions of t: one table counts each cell
+            count_power_cells(k, q, _grid(q, "window", (1, 10 ** 12)))
+            assert tabled[3:] == [True]
             assert per_cell == []
-            # a kth-root window of millions of t: the stride counts each cell
-            cells = _grid(q, "window", (1, 10 ** 12))
-            count_power_cells(k, q, cells)
-            assert per_cell == [Progression(a, q, N) for a, N in cells]
-            per_cell.clear()
+            tabled.clear()
 
     def test_window_bound_is_exact(self, monkeypatch):
         # k = 2, q = 1, a = 0: the values 1..N have the window [1, isqrt(N)]
-        per_cell = []
-        real = counting.count_powers_in_ap
-        monkeypatch.setattr(counting, "count_powers_in_ap",
-                            lambda k, prog: per_cell.append(prog) or real(k, prog))
+        tabled = _spy_tables(monkeypatch)
         longest = (3 * counting.SHARED_WALK_PER_CELL + 1) ** 2 - 1
         for N in (longest, longest + 1):
             assert count_power_cells(2, 1, [(0, N)] * 3) == [
                 (2 * math.isqrt(N), math.isqrt(N))] * 3
-        assert per_cell == [Progression(0, 1, longest + 1)] * 3
+        assert tabled == [False, True]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_table_needs_no_roots(self, monkeypatch, k):
+        # N = 10**12: every (k, q) takes the table, which finds the roots of
+        # every class without factoring, lifting or the CRT
+        def refuse(*args, **kwargs):
+            raise AssertionError("count_power_cells left the walk and table")
+
+        grids = [(q, _grid(q, "window", (10, 10 ** 12))) for q in range(1, 41)]
+        want = [[(r.count_t, r.count_values)
+                 for r in (count_powers_in_ap(k, Progression(a, q, N),
+                                              algorithm="residue")
+                           for a, N in cells)] for q, cells in grids]
+        for module, name in ((counting, "count_powers_in_ap"),
+                             (counting, "kth_roots_mod"),
+                             (modroots, "kth_roots_mod"),
+                             (modroots, "factorize"),
+                             (intkernel, "factorize")):
+            monkeypatch.setattr(module, name, refuse)
+        assert [count_power_cells(k, q, cells) for q, cells in grids] == want
+
+    def test_table_over_the_walk_budget_is_refused(self):
+        # the table would take q pow calls, so it is refused before the first
+        q = counting.WALK_BUDGET + 1
+        start = time.perf_counter()
+        with pytest.raises(CellBudgetError):
+            count_power_cells(2, q, [(0, 10 ** 30)])
+        assert time.perf_counter() - start < 1.0
 
     def test_even_k_counts_zero_once(self):
         # 0 = 0**4 is one value and one t, in the cells of 0 mod 5 whose

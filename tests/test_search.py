@@ -1,4 +1,3 @@
-import bisect
 import hashlib
 import json
 import math
@@ -6,7 +5,7 @@ import math
 import pytest
 
 from appowers import counting, intkernel, modroots, search
-from appowers.counting import Progression, count_power_cells, count_powers_in_ap
+from appowers.counting import Progression, count_powers_in_ap
 from appowers.errors import CellBudgetError
 from appowers.search import extremal_search, rudin_count, rudin_progression
 from oracles import brute_report
@@ -88,16 +87,16 @@ class TestExtremalSearch:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     @pytest.mark.parametrize("a_window", [0, 1, 3])
     def test_pruning_is_exact(self, k, a_window):
-        # the maximum and every tie of count_power_cells over each q's whole
-        # grid; N = 10**12 takes the path that does not walk
+        # the maximum and every tie of the per-cell counts over each q's
+        # whole grid, counted apart from the search's walk and table;
+        # N = 10**12 takes the path that does not walk
         for N, q_max in ((1, 40), (2, 40), (7, 40), (50, 40), (1000, 40),
                          (10 ** 12, 12)):
-            cv = {}
-            for q in range(1, q_max + 1):
-                grid = [(r + s * q, N) for r in range(q)
-                        for s in range(-a_window, a_window + 1)]
-                for (a, _), (_, n) in zip(grid, count_power_cells(k, q, grid)):
-                    cv[q, a] = n
+            algorithm = "residue" if N == 10 ** 12 else "auto"
+            cv = {(q, a): count_powers_in_ap(k, Progression(a, q, N),
+                                             algorithm=algorithm).count_values
+                  for q in range(1, q_max + 1) for r in range(q)
+                  for a in range(r - a_window * q, r + a_window * q + 1, q)}
             best = max(cv.values())
             rec = extremal_search(k, N, q_max, a_window=a_window)
             assert rec.best_count_values == best, N
@@ -106,39 +105,27 @@ class TestExtremalSearch:
 
     def test_prunes_classes(self, monkeypatch):
         # N = 1000: q takes the table where its hull's window of about
-        # (1002 q)**(1/k) t is longer than q, and walks it elsewhere; a cell
-        # counted from the table asks for its own window, each q's hull for
-        # one more, and a walked cell calls bisect_left once
-        tables, walks, windows, counted = [], [], [], []
+        # (1002 q)**(1/k) t is longer than q, and walks it elsewhere; every
+        # cell counted calls the count that comes with its q's classes
+        tabled, counted = [], []
 
-        def spy_table(k, q):
-            tables.append(q)
-            return counting._power_table(k, q)
+        def spy(k, q, A, B, limit):
+            tabled.append(B - A + 1 > limit)
+            classes, in_window, count = counting._power_classes(k, q, A, B,
+                                                                limit)
 
-        def spy_walk(k, q, A, B):
-            walks.append(q)
-            return counting._shared_walk(k, q, A, B)
+            def spy_count(members, lo, hi):
+                counted.append((q, lo))
+                return count(members, lo, hi)
+            return classes, in_window, spy_count
 
-        def spy_window(k, lo, hi):
-            windows.append((lo, hi))
-            return counting._counted_window(k, lo, hi)
-
-        def spy_bisect(values, x):
-            counted.append(x)
-            return bisect.bisect_left(values, x)
-
-        monkeypatch.setattr(search, "_power_table", spy_table)
-        monkeypatch.setattr(search, "_shared_walk", spy_walk)
-        monkeypatch.setattr(search, "_counted_window", spy_window)
-        monkeypatch.setattr(search, "bisect_left", spy_bisect)
-        for k, tabled in ((2, 80), (3, 31)):
-            for spied in (tables, walks, windows, counted):
-                spied.clear()
+        monkeypatch.setattr(search, "_power_classes", spy)
+        for k, last_tabled in ((2, 80), (3, 31)):
+            tabled.clear()
+            counted.clear()
             rec = extremal_search(k, 1000, 80, a_window=1)
-            assert tables == list(range(1, tabled + 1)), k
-            assert walks == list(range(tabled + 1, 81)), k
-            cells = len(counted) + len(windows) - 80
-            assert 0 < cells < rec.cells_evaluated / 100, k
+            assert tabled == [q <= last_tabled for q in range(1, 81)], k
+            assert 0 < len(counted) < rec.cells_evaluated / 100, k
             assert rec.cells_evaluated == 9720
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -187,8 +174,7 @@ class TestExtremalSearch:
             raise AssertionError("a cell ran before the budget check")
 
         monkeypatch.setattr(search, "count_powers_in_ap", no_cell)
-        monkeypatch.setattr(search, "_shared_walk", no_cell)
-        monkeypatch.setattr(search, "_power_table", no_cell)
+        monkeypatch.setattr(search, "_power_classes", no_cell)
         with pytest.raises(CellBudgetError):
             extremal_search(2, 10, 10 ** 5, cell_budget=1000)
         with pytest.raises(CellBudgetError,
