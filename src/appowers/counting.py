@@ -4,9 +4,9 @@ Two independent algorithms back the monomial count: an interval walk over the
 kth-root window of the value interval, and residue-stride counting that solves
 t**k = a (mod q) and counts lattice points per residue class arithmetically.
 They cross-check each other in the test suite.  ``auto`` picks between them by
-the walk's length in t against modroots.root_count_bound, a bound on the
-number of roots of t**k = a (mod q) that the stride counts.  A strided call
-finds those roots once, for both its count and its solution list.
+the walk's length in t against modroots.root_count, the exact number of roots
+of t**k = a (mod q) that the stride counts, read without listing any.  A
+strided call lists those roots once, for both its count and its solutions.
 count_power_cells and search.extremal_search count every cell of one (k, q)
 through _power_classes, which bins the kth powers of the hull's window by
 class mod q: from one interval walk where the caller's limit allows it, and
@@ -23,7 +23,7 @@ from itertools import chain
 from . import kernels
 from .errors import CellBudgetError, InternalInvariantError
 from .intkernel import kth_power_t_window
-from .modroots import ROOT_BUDGET, kth_roots_mod, root_count_bound
+from .modroots import ROOT_BUDGET, kth_roots_mod, root_count
 from .poly import Poly, preimage_range
 
 __all__ = [
@@ -115,8 +115,10 @@ def _choose_algorithm(k: int, prog: Progression, A: int, walk: int) -> str:
     walk's t >= 0, t = 0 once.  In between, factor q only when
     q <= span**2 (so factoring costs at most about the walk) or the walk
     exceeds WALK_BUDGET (so it would be refused; factoring then stops at
-    intkernel.RHO_STEP_BUDGET), and stride when modroots.root_count_bound
-    is within modroots.ROOT_BUDGET and twice it is below the walk."""
+    intkernel.RHO_STEP_BUDGET), and stride when the exact modroots.root_count
+    is within modroots.ROOT_BUDGET and twice it is below the walk.  Where
+    root_count raises CellBudgetError (unit roots too many to lift), a walk
+    within WALK_BUDGET is taken; otherwise the error is raised."""
     span = walk if k % 2 or not walk else 2 * walk - (A == 0)
     if span <= 64:
         return "interval"
@@ -124,9 +126,14 @@ def _choose_algorithm(k: int, prog: Progression, A: int, walk: int) -> str:
         return "residue"
     if prog.q > span * span and walk <= WALK_BUDGET:
         return "interval"
-    roots = root_count_bound(prog.a, k, prog.q)
-    # A root costs the cold stride about 2-3.5 walked t: the CRT and the
-    # sort take 0.4-0.6 us per root, the walk 0.18-0.25 us per t.
+    try:
+        roots = root_count(prog.a, k, prog.q)
+    except CellBudgetError:
+        if walk <= WALK_BUDGET:
+            return "interval"
+        raise
+    # A root costs the stride 0.07-0.44 us (repeating a class, or the CRT
+    # and the sort), about 0.5-3.5 walked t at 0.1-0.14 us per t.
     return ("residue" if roots <= ROOT_BUDGET and 2 * roots < walk
             else "interval")
 
@@ -177,13 +184,13 @@ def count_powers_in_ap(k: int, prog: Progression, with_solutions: bool = False,
 
     algorithm is "interval", "residue", or "auto": the interval walk for a
     t-window of at most 64 values, the residue stride for one wider than q,
-    and in between the stride when twice modroots.root_count_bound is below
-    the walk's length (see _choose_algorithm).  A walk longer than
-    WALK_BUDGET, a solution list longer than SOLUTION_CAP, and more roots of
-    t**k = a (mod q) than modroots.ROOT_BUDGET raise CellBudgetError before
-    any of it is done.  The solutions are listed by the algorithm that
-    counted them, the stride's from the roots it counted, so a cell that
-    can be counted can be listed up to SOLUTION_CAP.
+    and in between the stride when twice the exact modroots.root_count is
+    below the walk's length (see _choose_algorithm).  A walk longer than
+    WALK_BUDGET, a solution list longer than SOLUTION_CAP, and more than
+    modroots.ROOT_BUDGET roots of t**k = a (mod q), counted exactly (0 when
+    one prime power of q has none), raise CellBudgetError before any of it
+    is done.  Solutions are listed by the algorithm that counted them (the
+    stride's from its roots), so a countable cell is listed up to the cap.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -1,16 +1,17 @@
 """Solve x**k = a (mod m) for all residue classes.
 
 The roots are returned as a sorted tuple.  A composite modulus is split into
-its prime powers p**e; the root counts of the parts are multiplied and
-checked against ROOT_BUDGET, and the parts are recombined with the Chinese
-remainder theorem.  Only the roots modulo each prime power are cached, by
-(a mod p**e, k, p, e).  root_count_bound bounds the number of roots from
-the factorization and the valuations of a alone, finding none.  Modulo p**e:
+its prime powers p**e, whose roots are cached, by (a mod p**e, k, p, e), as
+(ys, step): x is a root exactly when x mod step, a divisor of p**e, lies in
+the sorted ys.  root_count multiplies len(ys) * p**e / step over the parts;
+kth_roots_mod checks that count against ROOT_BUDGET, joins the ys by the
+CRT modulo the product M of the steps, sorts them, and adds every multiple
+of M below m.  Modulo p**e:
 
-* a = 0: x**k = 0 exactly when p**ceil(e/k) divides x;
+* a = 0: x**k = 0 exactly when p**ceil(e/k) divides x, so ys = (0,);
 * p**v exactly divides a: x = p**(v/k) * y (no roots unless k | v), with y a
   unit root of y**k = a / p**v (mod p**(e-v)) and its next v - v/k p-adic
-  digits free;
+  digits free, so step = p**(e-v+v/k);
 * unit roots mod p: a table of kth powers for p <= SMALL_PRIME; above it, an
   Euler-criterion test, one root of x**d = a**s with d = gcd(k, p-1) and
   s*k = d (mod p-1), found Sylow subgroup by Sylow subgroup (one prime r | d
@@ -27,11 +28,11 @@ from functools import lru_cache
 from .errors import CellBudgetError
 from .intkernel import factorize, is_prime
 
-__all__ = ["kth_roots_mod_prime_power", "kth_roots_mod", "root_count_bound"]
+__all__ = ["kth_roots_mod_prime_power", "kth_roots_mod", "root_count"]
 
 # Largest prime whose roots come from a table of kth powers mod p.
 SMALL_PRIME = 256
-# Largest root list built; 2**18 roots take about 1 s through the CRT.
+# Largest root list built; 2**18 unit roots take about 0.25 s through the CRT.
 ROOT_BUDGET = 2 ** 18
 
 
@@ -139,26 +140,34 @@ def _unit_roots(b: int, k: int, p: int, e: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=400_000)
-def _roots_mod_cached(a: int, k: int, p: int, e: int) -> tuple[int, ...]:
-    """Sorted x in [0, p**e) with x**k = a (mod p**e), for a prime p and
-    a in [0, p**e)."""
-    pe = p ** e
+def _roots_mod_cached(a: int, k: int, p: int, e: int) -> tuple[tuple, int]:
+    """(ys, step) for x**k = a (mod p**e), for a prime p and a in [0, p**e):
+    x is a root exactly when x mod step, a divisor of p**e, lies in ys."""
     if a == 0:
-        step = p ** -(-e // k)
-        _check_root_count(pe // step)
-        return tuple(range(0, pe, step))
+        return (0,), p ** -(-e // k)
     v = 0
     while a % p == 0:
         a //= p
         v += 1
     if v == 0:
-        return _unit_roots(a, k, p, e)
+        return _unit_roots(a, k, p, e), p ** e
     if v % k:
-        return ()
-    units = _unit_roots(a, k, p, e - v)
-    scale, m, free = p ** (v // k), p ** (e - v), p ** (v - v // k)
-    _check_root_count(len(units) * free)
-    return tuple(scale * (y + j * m) for j in range(free) for y in units)
+        return (), p ** e
+    scale = p ** (v // k)
+    return (tuple(scale * y for y in _unit_roots(a, k, p, e - v)),
+            p ** (e - v) * scale)
+
+
+def root_count(a: int, k: int, m: int) -> int:
+    """The number of x in [0, m) with x**k = a (mod m), for m, k >= 1."""
+    count = 1
+    for p, e in factorize(m):
+        pe = p ** e
+        ys, step = _roots_mod_cached(a % pe, k, p, e)
+        count *= len(ys) * (pe // step)
+        if not count:
+            break
+    return count
 
 
 def kth_roots_mod_prime_power(a: int, k: int, p: int,
@@ -173,13 +182,16 @@ def kth_roots_mod_prime_power(a: int, k: int, p: int,
         raise ValueError(f"e must be >= 1, got {e}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _roots_mod_cached(a % p ** e, k, p, e)
+    pe = p ** e
+    ys, step = _roots_mod_cached(a % pe, k, p, e)
+    _check_root_count(len(ys) * (pe // step))
+    return tuple(y + j for j in range(0, pe, step) for y in ys)
 
 
 def kth_roots_mod(a: int, k: int, m: int) -> tuple[int, ...]:
     """Sorted x in [0, m) with x**k = a (mod m); m = 1 yields (0,).
 
-    More than ROOT_BUDGET roots raise CellBudgetError before the CRT.
+    More than ROOT_BUDGET roots raise CellBudgetError before any is listed.
     """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
@@ -188,40 +200,20 @@ def kth_roots_mod(a: int, k: int, m: int) -> tuple[int, ...]:
     parts, count = [], 1
     for p, e in factorize(m):  # primes already, so no primality test here
         pe = p ** e
-        roots = _roots_mod_cached(a % pe, k, p, e)
-        if not roots:
+        ys, step = _roots_mod_cached(a % pe, k, p, e)
+        if not ys:
             return ()
-        parts.append((roots, pe))
-        count *= len(roots)
+        parts.append((ys, step))
+        count *= len(ys) * (pe // step)
     _check_root_count(count)
-    residues, mod = [0], 1
-    for roots, pe in parts:  # CRT: x = x1 (mod mod), x = x2 (mod pe)
-        inv = pow(mod, -1, pe)
-        residues = [x1 + mod * ((x2 - x1) * inv % pe)
-                    for x1 in residues for x2 in roots]
-        mod *= pe
-    return tuple(sorted(residues))
-
-
-def root_count_bound(a: int, k: int, m: int) -> int:
-    """An upper bound on the number of x in [0, m) with x**k = a (mod m),
-    for m, k >= 1: the product over the prime powers p**e of m of a bound
-    read from k, p**e and the valuation of a at p, or 0 as soon as one
-    prime power has no root."""
-    bound = 1
-    for p, e in factorize(m):
-        v = 0  # min(v_p(a), e)
-        while v < e and a % p ** (v + 1) == 0:
-            v += 1
-        if v == e:  # x**k = 0 (mod p**e) iff p**ceil(e/k) divides x
-            bound *= p ** (e + (-e // k))
-            continue
-        if v % k:
-            return 0
-        # x = p**(v/k) * y with y a unit, y**k fixed mod p**(e-v): at most
-        # gcd(k, phi(p**(e-v))) classes (twice that for p = 2), each of
-        # which leaves the last v - v/k digits of y free.
-        pe = p ** (e - v)
-        bound *= (math.gcd(k, pe - pe // p) * (2 if p == 2 else 1)
-                  * p ** (v - v // k))
-    return bound
+    residues, mod = parts[0] if parts else ((0,), 1)
+    for ys, step in parts[1:]:  # CRT: x = x1 (mod mod), x = x2 (mod step)
+        inv = pow(mod, -1, step)
+        residues = [x1 + mod * ((x2 - x1) * inv % step)
+                    for x1 in residues for x2 in ys]
+        mod *= step
+    if len(parts) > 1:
+        residues.sort()
+    if mod < m:  # mod divides m, and each root class mod mod repeats
+        residues = [x + j for j in range(0, m, mod) for x in residues]
+    return tuple(residues)

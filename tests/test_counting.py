@@ -129,9 +129,9 @@ class TestChooser:
     """auto on windows with 64 < span <= q, where it weighs walk and stride."""
 
     # (k, a, q, N, the algorithm auto takes).  auto strides when twice
-    # its bound on the number of roots of t**k = a (mod q), the product of
-    # the bounds mod each prime power of q, is below the walk, which is
-    # span t long (for even k, the t >= 0 of the window).
+    # the number of roots of t**k = a (mod q), the product of the counts
+    # mod each prime power of q, is below the walk, which is span t long
+    # (for even k, the t >= 0 of the window).
     CASES = [
         # smooth q: few roots against a long walk (2*128 < 5,402;
         # 2*108 < 1,860), even a short one (2*128 = 256 < 463, which cold
@@ -140,13 +140,13 @@ class TestChooser:
         (3, 8, 360360, 20000, "residue"),
         (4, 1, 2 ** 6 * 3 ** 4 * 5 * 7, 300000, "residue"),
         # at most gcd(k, p - 1) roots mod a prime p, however large
-        # (2*4 < 4,930; 2*2 < 526; 2*2 < 3,162; 2*4 < 511)
+        # (2*4 < 4,930; 2*1 < 526; 2*2 < 3,162; no root, against 511)
         (2, 1, 3 * 100003, 100, "residue"),
         (3, -7, 2 * 100019, 1000, "residue"),
         (2, 5, 10000019, 4, "residue"),
         (2, -195157, 137 * 1789, 3, "residue"),
         # a divisible by high powers of q's primes: roots from the valuation
-        # (2*288 < 4,490; 2*1,152 < 4,471; 2*144 < 9,782; 2*576 < 2,706),
+        # (2*288 < 4,490; 2*576 < 4,471; 2*144 < 9,782; 2*576 < 2,706),
         # unless there are many of them (2*12,800 > 3,819; 2*64,000 > 897)
         (2, 0, 2 ** 10 * 3 ** 5, 100, "residue"),
         (2, 2 ** 8 * 3 ** 4, 2 ** 10 * 3 ** 5, 100, "residue"),
@@ -238,6 +238,29 @@ class TestChooser:
         squares = sum(math.isqrt(v) ** 2 == v for v in (t0 * t0, t0 * t0 + q))
         assert (rep.count_t, rep.count_values) == (2 * squares, squares) == (2, 1)
 
+    @pytest.mark.parametrize("N", [1000, 10 ** 30])
+    def test_rootless_congruence_is_answered(self, N):
+        # a = 2**41, q = 3 * 2**40: the 2**20 roots of x**2 = 0 (mod 2**40)
+        # are one class mod 2**20, and 2 is no square mod 3.  N = 1000 is
+        # counted by the chooser (its walk, of 5.5e7 t, is over budget),
+        # N = 10**30 is strided at once (span > q)
+        prog = Progression(2 ** 41, 3 * 2 ** 40, N)
+        start = time.perf_counter()
+        assert count_powers_in_ap(2, prog) == CountReport(0, 0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_unit_roots_over_the_budget_are_walked(self, monkeypatch):
+        # y**32 = 1 (mod 2**12) has 64 roots, lifted by trying both
+        # extensions of each root a level up; with a budget of 16 the
+        # lifting is refused while the chooser counts them, and the 41-t
+        # walk counts t = +-1
+        monkeypatch.setattr(modroots, "ROOT_BUDGET", 16)
+        monkeypatch.setattr(counting, "ROOT_BUDGET", 16)
+        monkeypatch.setattr(counting, "_residue_stride_counts", _refuse)
+        modroots._roots_mod_cached.cache_clear()
+        prog = Progression(1 - 2 ** 12, 2 ** 12, 40 ** 32 // 2 ** 12)
+        assert count_powers_in_ap(32, prog) == CountReport(2, 1)
+
     @given(st.integers(min_value=1, max_value=7),
            st.integers(min_value=-10 ** 12, max_value=10 ** 12),
            st.integers(min_value=-10 ** 12, max_value=10 ** 12))
@@ -257,7 +280,7 @@ class TestChooser:
             return counting._choose_algorithm(k, Progression(0, q, 1), A, walk)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(counting, "root_count_bound",
+            mp.setattr(counting, "root_count",
                        lambda *args: counting.ROOT_BUDGET + 1)
             if S > 64:
                 assert (choose(S - 1), choose(S)) == (

@@ -178,8 +178,8 @@ class TestRootsCache:
 
 
 class TestRootCountBound:
-    """root_count_bound, from the factorization and valuations alone, is
-    never below the number of roots, so a bound of 0 means no roots."""
+    """root_count, read from the cached classes without listing a root, is
+    the exact number of roots, so it never undercounts, and 0 means none."""
 
     MODULI = (list(range(1, 201)) + [2 ** e for e in range(8, 13)]
               + [3 ** e for e in range(5, 8)] + [5 ** e for e in range(4, 6)])
@@ -190,9 +190,39 @@ class TestRootCountBound:
         for m in self.MODULI:
             for a in range(m):
                 n = len(kth_roots_mod(a, k, m))
-                bound = modroots.root_count_bound(a, k, m)
-                assert bound >= n, (a, k, m, bound, n)
-                assert bound or not n, (a, k, m)
-                assert modroots.root_count_bound(a - m, k, m) == bound
-                zeros += bound == 0
+                assert modroots.root_count(a, k, m) == n, (a, k, m)
+                assert modroots.root_count(a - m, k, m) == n, (a, k, m)
+                zeros += n == 0
         assert zeros or k == 1  # the early return for a rootless p**e runs
+
+    def test_rootless_part_after_a_huge_one(self):
+        # a = 2**41, q = 3 * 2**40: x**2 = 0 (mod 2**40) has 2**20 roots,
+        # more than ROOT_BUDGET, but 2 is no square mod 3
+        assert kth_roots_mod(2 ** 41, 2, 3 * 2 ** 40) == ()
+        assert modroots.root_count(2 ** 41, 2, 3 * 2 ** 40) == 0
+
+
+class TestRootClasses:
+    """Each cache entry (ys, step) lists the roots mod p**e as the classes
+    mod step, a divisor of p**e, that hold them."""
+
+    # every p**e <= 3**7, and 2**12
+    PRIME_POWERS = [(p, e) for p in range(2, 3 ** 7 + 1) if is_prime(p)
+                    for e in range(1, 12) if p ** e <= 3 ** 7] + [(2, 12)]
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_enumeration(self, k):
+        # every x is in the classes of its own a = x**k; the classes of all
+        # a hold p**e roots in all, so they hold nothing else
+        for p, e in self.PRIME_POWERS:
+            pe = p ** e
+            entries = [modroots._roots_mod_cached(a, k, p, e)
+                       for a in range(pe)]
+            for a, (ys, step) in enumerate(entries):
+                assert pe % step == 0, (a, k, p, e, step)
+                assert list(ys) == sorted(set(ys)), (a, k, p, e)
+                assert not ys or 0 <= ys[0] and ys[-1] < step, (a, k, p, e)
+            for x in range(pe):
+                ys, step = entries[pow(x, k, pe)]
+                assert x % step in ys, (x, k, p, e)
+            assert sum(len(ys) * (pe // step) for ys, step in entries) == pe
