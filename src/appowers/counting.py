@@ -167,17 +167,6 @@ def _power_solutions(k: int, prog: Progression, A: int, B: int,
     return tuple((t, (t ** k - a) // q) for t in ts)
 
 
-def _counted_window(k: int, lo: int, hi: int) -> tuple[int, int]:
-    """The one interval [A, B] of kth_power_t_window(k, lo, hi) that is
-    counted: the window itself for odd k, its t >= 0 side for even k, where
-    -t has the same value as t.  An empty window gives B < A."""
-    segments = kth_power_t_window(k, lo, hi)
-    A, B = segments[-1] if segments else (1, 0)
-    if k % 2 == 0:
-        A = max(A, 0)
-    return A, B
-
-
 def count_powers_in_ap(k: int, prog: Progression, with_solutions: bool = False,
                        algorithm: str = "auto") -> CountReport:
     """Exact counts of kth powers t**k among the progression's terms.
@@ -194,7 +183,7 @@ def count_powers_in_ap(k: int, prog: Progression, with_solutions: bool = False,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    A, B = _counted_window(k, prog.lo, prog.hi)
+    A, B = kth_power_t_window(k, prog.lo, prog.hi)
     even = k % 2 == 0
     walk = max(B - A + 1, 0)
     if algorithm == "auto":
@@ -247,7 +236,7 @@ def _power_classes(k: int, q: int, A: int, B: int, limit: int):
         classes.setdefault(pow(x, k, q), []).append(x)
     return (classes, lambda roots: _residue_stride_counts(roots, q, A, B),
             lambda roots, lo, hi: _residue_stride_counts(
-                roots, q, *_counted_window(k, lo, hi)))
+                roots, q, *kth_power_t_window(k, lo, hi)))
 
 
 def count_power_cells(k: int, q: int,
@@ -270,8 +259,8 @@ def count_power_cells(k: int, q: int,
         return []
     if q < 1 or min(N for _, N in cells) < 1:
         raise ValueError("step q and every length N must be >= 1")
-    A, B = _counted_window(k, min(a for a, _ in cells) + q,
-                           max(a + N * q for a, N in cells))
+    A, B = kth_power_t_window(k, min(a for a, _ in cells) + q,
+                              max(a + N * q for a, N in cells))
     classes, _, count = _power_classes(
         k, q, A, B, min(SHARED_WALK_PER_CELL * len(cells), WALK_BUDGET))
     even = k % 2 == 0

@@ -258,25 +258,19 @@ def ikth_root_ceil(x: int, k: int) -> int:
     return r if r ** k == x else r + 1
 
 
-def kth_power_t_window(k: int, lo: int, hi: int) -> list[tuple[int, int]]:
-    """Closed intervals of t exactly covering {t : lo <= t**k <= hi}.
+def kth_power_t_window(k: int, lo: int, hi: int) -> tuple[int, int]:
+    """The counted window (A, B) of t for the values [lo, hi]: every t with
+    lo <= t**k <= hi for odd k, and for even k, where -t has the same value
+    as t, only those with t >= 0.  The window is empty when B < A.
 
-    Odd k gives one interval; even k gives a symmetric pair that merges into
-    one interval when lo <= 0.  Endpoints come from exact integer roots, so
-    every t inside a returned interval satisfies the value constraint.
+    Endpoints come from exact integer roots, so every t in [A, B] satisfies
+    the value constraint.
     """
     if lo > hi:
         raise ValueError(f"empty value interval [{lo}, {hi}]")
     if k % 2 == 1:
-        a = ikth_root_ceil(lo, k) if lo >= 0 else -ikth_root_floor(-lo, k)
-        b = ikth_root_floor(hi, k) if hi >= 0 else -ikth_root_ceil(-hi, k)
-        return [(a, b)] if a <= b else []
+        return (ikth_root_ceil(lo, k) if lo >= 0 else -ikth_root_floor(-lo, k),
+                ikth_root_floor(hi, k) if hi >= 0 else -ikth_root_ceil(-hi, k))
     if hi < 0:
-        return []
-    rmin = ikth_root_ceil(max(lo, 0), k)
-    rmax = ikth_root_floor(hi, k)
-    if rmin > rmax:
-        return []
-    if rmin == 0:
-        return [(-rmax, rmax)]
-    return [(-rmax, -rmin), (rmin, rmax)]
+        return 0, -1
+    return ikth_root_ceil(max(lo, 0), k), ikth_root_floor(hi, k)

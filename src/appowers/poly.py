@@ -143,8 +143,9 @@ def _monotone_pieces(P: Poly, left: int, right: int) -> list[tuple[int, int]]:
 def preimage_range(P: Poly, lo: int, hi: int) -> list[tuple[int, int]]:
     """Closed intervals of t exactly covering {t : lo <= P(t) <= hi}.
 
-    The intervals, shaped like intkernel.kth_power_t_window's, are
-    ascending, disjoint and not merged, and P is strictly monotone on each.
+    The intervals are ascending, disjoint and not merged, and P is strictly
+    monotone on each; for P = t**k with even k they cover both signs of t,
+    where intkernel.kth_power_t_window gives only the t >= 0.
     Every solution lies in [-B, B], B the larger root bound of P - lo and
     P - hi (see _root_bound); that bracket is cut into the pieces on which
     P is monotone (_monotone_pieces), or into single integers when it holds

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counting import (CountReport, Progression, _counted_window,
-                       _power_classes, count_powers_in_ap)
+from . import counting
+from .counting import (CountReport, Progression, _power_classes,
+                       count_powers_in_ap)
 from .errors import CellBudgetError
 
 __all__ = ["SearchRecord", "extremal_search", "rudin_count",
@@ -53,7 +54,8 @@ def extremal_search(k: int, N: int, q_max: int, a_window: int = 0,
     branch and bound, with every tying cell, sorted by (q, a).
 
     Each q's grid lies in one hull, whose counted window [A, B] of t
-    (counting._counted_window) serves all of its cells.
+    (intkernel.kth_power_t_window, called through counting, where
+    perfbench's tracer wraps that layer) serves all of its cells.
     counting._power_classes walks a window of at most q t, listing the kth
     powers there by class mod q; a longer window costs more than q pow
     calls, so one table of x**k mod q for x in [0, q) lists every class's
@@ -74,8 +76,8 @@ def extremal_search(k: int, N: int, q_max: int, a_window: int = 0,
     best = -1
     cells: list[tuple[int, int]] = []
     for q in range(1, q_max + 1):
-        A, B = _counted_window(k, q - a_window * q,
-                               q - 1 + a_window * q + N * q)
+        A, B = counting.kth_power_t_window(k, q - a_window * q,
+                                           q - 1 + a_window * q + N * q)
         classes, in_window, count = _power_classes(k, q, A, B, q)
         # no member has more than `most` t in [A, B] (one, on a walk), so a
         # class whose members times that is below the best is skipped

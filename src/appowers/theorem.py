@@ -203,10 +203,11 @@ def _sweep_task(report: SweepReport, k: int, q: int) -> None:
 
     The first pass counts every cell with one counting.count_power_cells
     call, from one walk or one table of x**k mod q for the whole (k, q),
-    then in increasing (a, N) checks each cell's bound, folds its
-    ratios and appends its row.  The ratios are compared with the
-    running maxima by cross-multiplication; a Fraction is built only for a
-    new maximum.  The second pass witnesses the cells with
+    then in increasing (a, N) checks each cell's bound, appends its row and
+    keeps each N's largest count_t and count_values with the first a that
+    reaches each.  Both ratios grow with the count over a divisor set by N
+    alone, so those fold into the report's maxima once, ties going to the
+    least a, then the least N.  The second pass witnesses the cells with
     2 <= count_t <= WITNESS_PAIR_CAP, one class a mod q at a time: one
     solution list covers the hull of the class's witnessed cells, and
     _check_witnesses certifies every pair of it; each such cell then checks
@@ -219,39 +220,44 @@ def _sweep_task(report: SweepReport, k: int, q: int) -> None:
     """
     dk = divisor_count(q) ** (k - 1)
     roots = {N: ikth_root_ceil(N, k) for N in report.N_set}
+    bounds = {N: bound_constant(k) * dk * root for N, root in roots.items()}
+    # N -> (largest count, first a with it); 0 never beats the maxima
+    tops_t = dict.fromkeys(report.N_set, (0, 0))
+    tops_v = dict.fromkeys(report.N_set, (0, 0))
     witnessed: dict[int, list[tuple[Progression, int]]] = {}  # by a % q
     grid = [(a, N) for a in _a_values(q, report.a_mode) for N in report.N_set]
     for (a, N), (count_t, count_values) in zip(
             grid, count_power_cells(k, q, grid)):
-        report.cells += 1
-        root = roots[N]
-        den = dk * root
-        bound = bound_constant(k) * den
-        if count_t > bound:
+        if count_t > bounds[N]:
             raise BoundViolationError(
-                f"count_t={count_t} exceeds bound {bound} at "
+                f"count_t={count_t} exceeds bound {bounds[N]} at "
                 f"cell k={k}, q={q}, a={a}, N={N}")
-        cell = (k, q, a, N)
-        best = report.max_ratio
-        if count_t * best.denominator > best.numerator * den:
-            report.max_ratio = Fraction(count_t, den)
-            report.max_ratio_cell = cell
-        report.max_ratio_float = max(report.max_ratio_float,
-                                     _float_ratio(count_t, dk, N, k))
-        best = report.max_value_ratio
-        if count_values * best.denominator > best.numerator * root:
-            report.max_value_ratio = Fraction(count_values, root)
-            report.max_value_ratio_cell = cell
-        report.max_value_ratio_float = max(
-            report.max_value_ratio_float,
-            _float_ratio(count_values, 1, N, k))
+        if count_t > tops_t[N][0]:
+            tops_t[N] = (count_t, a)
+        if count_values > tops_v[N][0]:
+            tops_v[N] = (count_values, a)
         if 2 <= count_t <= WITNESS_PAIR_CAP:
             witnessed.setdefault(a % q, []).append(
                 (Progression(a, q, N), count_t))
         if report.rows is not None:
+            den = dk * roots[N]
             g = math.gcd(count_t, den)
             report.rows.append((k, q, a, N, count_t, count_values,
-                                bound, count_t // g, den // g))
+                                bounds[N], count_t // g, den // g))
+    report.cells += len(grid)
+    report.max_ratio_float = max(report.max_ratio_float, *(
+        _float_ratio(c, dk, N, k) for N, (c, _) in tops_t.items()))
+    report.max_value_ratio_float = max(report.max_value_ratio_float, *(
+        _float_ratio(c, 1, N, k) for N, (c, _) in tops_v.items()))
+    ratio, a, N = max((Fraction(c, dk * roots[N]), -a, -N)
+                      for N, (c, a) in tops_t.items())
+    if ratio > report.max_ratio:
+        report.max_ratio, report.max_ratio_cell = ratio, (k, q, -a, -N)
+    ratio, a, N = max((Fraction(c, roots[N]), -a, -N)
+                      for N, (c, a) in tops_v.items())
+    if ratio > report.max_value_ratio:
+        report.max_value_ratio, report.max_value_ratio_cell = (
+            ratio, (k, q, -a, -N))
     P = Poly.monomial(k)
     for cells in witnessed.values():
         a0 = cells[0][0].a  # the least a of the class
@@ -274,18 +280,18 @@ def verify_bound_sweep(k_set, q_max: int, N_set, a_mode: str = "window",
                        collect_rows: bool = False) -> SweepReport:
     """Check count_t <= theorem_bound on every cell of the grid.
 
-    Cells are visited serially in (k, q, a, N) order, so argmax ties go to
-    the lexicographically first cell.  A grid of more than
-    search.DEFAULT_CELL_BUDGET cells raises CellBudgetError before any cell
-    runs, and so does a k or an N below 1 (ValueError).  The cells of a
-    (k, q) are counted together, by one shared walk where it is short and
-    else one table of x**k mod q (counting.count_power_cells); a bound
-    violation raises at the first violating cell of its (k, q), before any
-    witness of that (k, q) is checked.  Every solution pair of a cell with
-    2 <= count_t <= WITNESS_PAIR_CAP gets its witness checked once, as a
-    pair of the one solution list of its class a mod q: see _sweep_task.
-    witness_pairs counts each pair in every such cell that contains it.
-    ``threads`` is accepted and ignored.
+    The bound is checked cell by cell in (k, q, a, N) order, and argmax
+    ties go to the lexicographically first cell (see _sweep_task).  A grid
+    of more than search.DEFAULT_CELL_BUDGET cells raises CellBudgetError
+    before any cell runs, and so does a k or an N below 1 (ValueError).
+    The cells of a (k, q) are counted together, by one shared walk where it
+    is short and else one table of x**k mod q (counting.count_power_cells);
+    a bound violation raises at the first violating cell of its (k, q),
+    before any witness of that (k, q) is checked.  Every solution pair of a
+    cell with 2 <= count_t <= WITNESS_PAIR_CAP gets its witness checked
+    once, as a pair of the one solution list of its class a mod q: see
+    _sweep_task.  witness_pairs counts each pair in every such cell that
+    contains it.  ``threads`` is accepted and ignored.
     """
     k_set = tuple(sorted(set(int(k) for k in k_set)))
     N_set = tuple(sorted(set(int(N) for N in N_set)))

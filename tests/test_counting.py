@@ -10,7 +10,7 @@ from appowers.counting import (CountReport, Progression, count_poly_in_ap,
                                count_power_cells, count_powers_in_ap)
 from appowers.errors import CellBudgetError
 from appowers.intkernel import ikth_root_floor, is_prime, kth_power_t_window
-from appowers.poly import Poly
+from appowers.poly import Poly, preimage_range
 from oracles import brute_poly_report, brute_report, classes_count
 
 ALGORITHMS = ("interval", "residue")
@@ -114,7 +114,9 @@ class TestCountPowers:
 
 
 def _span_of(k, lo, hi):
-    return sum(B - A + 1 for A, B in kth_power_t_window(k, lo, hi))
+    """Number of t with lo <= t**k <= hi, both signs, apart from the
+    counted window that the chooser reads."""
+    return sum(B - A + 1 for A, B in preimage_range(Poly.monomial(k), lo, hi))
 
 
 def _span(k, prog):
@@ -273,7 +275,7 @@ class TestChooser:
         # is walked even at q = 1.
         lo, hi = min(x, y), max(x, y)
         S = _span_of(k, lo, hi)
-        A, B = counting._counted_window(k, lo, hi)
+        A, B = counting.kth_power_t_window(k, lo, hi)
         walk = max(B - A + 1, 0)
 
         def choose(q):
@@ -516,7 +518,8 @@ class TestResidueStride:
         a = s ** k % q + shift * q
         prog = Progression(a, q, N)
         roots = modroots.kth_roots_mod(a, k, q)
-        for A, B in kth_power_t_window(k, prog.lo, prog.hi):
+        A, B = kth_power_t_window(k, prog.lo, prog.hi)
+        for A, B in ((A, B), (-B, -A)):  # the window and its mirror
             assert (counting._residue_stride_counts(roots, q, A, B)
                     == kernels.interval_walk(k, a, q, A, B))
 

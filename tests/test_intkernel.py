@@ -240,9 +240,10 @@ class TestTWindow:
            st.integers(min_value=0, max_value=300))
     @settings(max_examples=300)
     def test_window_matches_brute_force(self, k, lo, width):
+        # every t with its value in [lo, hi], for even k only the t >= 0
         hi = lo + width
         span = abs(lo) + abs(hi) + 2  # covers the k=1 window entirely
-        want = [t for t in range(-span, span + 1) if lo <= t ** k <= hi]
-        got = [t for a, b in kth_power_t_window(k, lo, hi)
-               for t in range(a, b + 1)]
-        assert got == want
+        want = [t for t in range(-span, span + 1)
+                if lo <= t ** k <= hi and (k % 2 or t >= 0)]
+        A, B = kth_power_t_window(k, lo, hi)
+        assert list(range(A, B + 1)) == want

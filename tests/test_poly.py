@@ -162,7 +162,10 @@ class TestPreimageRange:
         (-10 ** 5, 10 ** 5), (-10 ** 5, -5), (-30, 40),
     ])
     def test_monomial_matches_exact_window(self, k, lo, hi):
-        """t**k gets the same t as from its exact kth-root window; the
-        segments differ, since even k is cut at 0."""
-        assert (flatten(preimage_range(Poly.monomial(k), lo, hi))
-                == flatten(kth_power_t_window(k, lo, hi)))
+        """t**k gets the same t as from its exact kth-root window, which
+        for even k holds the t >= 0 and is mirrored here to the t < 0."""
+        A, B = kth_power_t_window(k, lo, hi)
+        window = list(range(A, B + 1))
+        if k % 2 == 0:
+            window = [-t for t in reversed(window) if t] + window
+        assert flatten(preimage_range(Poly.monomial(k), lo, hi)) == window

@@ -10,7 +10,8 @@ from appowers import theorem
 from appowers.cli import main
 from appowers.counting import (CountReport, Progression, count_poly_in_ap,
                                count_powers_in_ap)
-from appowers.errors import CellBudgetError, InternalInvariantError
+from appowers.errors import (BoundViolationError, CellBudgetError,
+                             InternalInvariantError)
 from appowers.intkernel import divisor_count, ikth_root_ceil
 from appowers.poly import Poly, difference_quotient
 from appowers.theorem import (CSV_COLUMNS, _split, bound_constant,
@@ -394,6 +395,55 @@ class TestSweep:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "4e13f73875340609d880d4d8d032636cedb89908156851181b3f6bf2dd38362c")
         assert rep.witness_pairs == 266
+
+    @pytest.mark.parametrize("a_mode", ["window", "residues"])
+    def test_fold_matches_the_rows(self, a_mode):
+        # each (k, q) keeps only each N's largest counts and their first a;
+        # the rows still hold every cell, so both argmax cells, under the
+        # rule that ties go to the least a and then the least N, both exact
+        # maxima and both float maxima are recomputed from them.  k = 1
+        # ties at ratio 1 on every cell of N = 10**400, past float range.
+        N_set = (1, 2, 3, 4, 8, 9, 16, 27, 100, 10 ** 400)
+        for k in range(1, 5):
+            for q in range(1, 41):
+                rep = theorem.SweepReport(k_set=(k,), q_max=q, a_mode=a_mode,
+                                          N_set=N_set, rows=[])
+                theorem._sweep_task(rep, k, q)
+                assert rep.cells == len(rep.rows)
+                dk = divisor_count(q) ** (k - 1)
+                for got, ratio, d, col in (
+                        ((rep.max_ratio, rep.max_ratio_cell,
+                          rep.max_ratio_float),
+                         lambda r: Fraction(r[7], r[8]), dk, 4),
+                        ((rep.max_value_ratio, rep.max_value_ratio_cell,
+                          rep.max_value_ratio_float),
+                         lambda r: Fraction(r[5], ikth_root_ceil(r[3], k)),
+                         1, 5)):
+                    top = max(rep.rows, key=lambda r: (ratio(r), -r[2], -r[3]))
+                    best = ratio(top)
+                    want = (best, top[:4] if best else None, max(
+                        theorem._float_ratio(r[col], d, r[3], k)
+                        for r in rep.rows))
+                    assert got == want, (a_mode, k, q, col)
+
+    def test_bound_violation_names_the_first_cell(self, monkeypatch, capsys):
+        # with the constant 2k - 1 cut to 1, the first cell over the bound
+        # in (k, q, a, N) order is found from an unpatched run's rows
+        grid = ([1, 2, 3], 30, [1, 2, 10, 100])
+        rows = verify_bound_sweep(*grid, collect_rows=True).rows
+        k, q, a, N, count_t, bound = next(
+            r[:5] + (r[6] // bound_constant(r[0]),) for r in rows
+            if r[4] > r[6] // bound_constant(r[0]))
+        assert (k, q, a, N) == (2, 1, -1, 2)  # not the first cell of its q
+        monkeypatch.setattr(theorem, "bound_constant", lambda k: 1)
+        with pytest.raises(BoundViolationError) as info:
+            verify_bound_sweep(*grid)
+        assert str(info.value) == (
+            f"count_t={count_t} exceeds bound {bound} at "
+            f"cell k={k}, q={q}, a={a}, N={N}")
+        assert main(["verify", "--k-set", "1,2,3", "--q-max", "30",
+                     "--N-set", "1,2,10,100"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_residue_mode(self):
         rep = verify_bound_sweep([2], 12, [50], a_mode="residues")
