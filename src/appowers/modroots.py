@@ -4,6 +4,7 @@ The roots are returned as a sorted tuple.  A composite modulus is split into
 its prime powers p**e, whose roots are cached, by (a mod p**e, k, p, e), as
 (ys, step): x is a root exactly when x mod step, a divisor of p**e, lies in
 the sorted ys.  root_count multiplies len(ys) * p**e / step over the parts;
+max_root_count, the most roots any a has, is a closed form over the p**e;
 kth_roots_mod checks that count against ROOT_BUDGET, joins the ys by the
 CRT modulo the product M of the steps, sorts them, and adds every multiple
 of M below m.  Modulo p**e:
@@ -28,7 +29,8 @@ from functools import lru_cache
 from .errors import CellBudgetError
 from .intkernel import factorize, is_prime
 
-__all__ = ["kth_roots_mod_prime_power", "kth_roots_mod", "root_count"]
+__all__ = ["kth_roots_mod_prime_power", "kth_roots_mod", "root_count",
+           "max_root_count"]
 
 # Largest prime whose roots come from a table of kth powers mod p.
 SMALL_PRIME = 256
@@ -167,6 +169,33 @@ def root_count(a: int, k: int, m: int) -> int:
         count *= len(ys) * (pe // step)
         if not count:
             break
+    return count
+
+
+def max_root_count(k: int, m: int) -> int:
+    """The largest number of x in [0, m) that share one x**k mod m, for
+    m, k >= 1: the maximum over a of root_count(a, k, m), in closed form.
+
+    It multiplies over the prime powers p**e of m.  a = 0 has
+    p**(e - ceil(e/k)) roots.  An a = p**v * u, u a unit, has none unless
+    k | v, and then p**(v - v/k) for each unit root of y**k = u
+    (mod p**(e-v)).  Those are 0 or as many as the kth roots of 1, U of
+    them: the unit group mod p**j is cyclic of order (p-1) p**(j-1) for
+    odd p, and C2 x C(2**(j-2)) for p = 2 and j >= 3.
+    """
+    count = 1
+    for p, e in factorize(m):
+        most = p ** (e - (e + k - 1) // k)  # the roots of a = 0
+        for v in range(0, e, k):
+            j = e - v
+            if p > 2:
+                units = math.gcd(k, (p - 1) * p ** (j - 1))
+            elif j < 3:
+                units = math.gcd(k, j)  # 1 mod 2, and gcd(k, 2) mod 4
+            else:
+                units = math.gcd(k, 2) * math.gcd(k, 2 ** (j - 2))
+            most = max(most, p ** (v - v // k) * units)
+        count *= most
     return count
 
 

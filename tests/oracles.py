@@ -2,6 +2,7 @@
 counting algorithms (the interval walk and the residue stride), of the
 polynomial preimage segments and of the package's integer roots: they
 import nothing from appowers."""
+import collections
 import functools
 
 
@@ -26,6 +27,12 @@ def brute_report(k, prog):
         cv += 1
         ct += 2 if k % 2 == 0 and v > 0 else 1
     return ct, cv
+
+
+def max_class_size(k, m):
+    """The largest number of x in [0, m) that share one x**k mod m, from a
+    table of every pow(x, k, m)."""
+    return max(collections.Counter(pow(x, k, m) for x in range(m)).values())
 
 
 def classes_count(roots, q, A, B):

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from appowers import modroots
 from appowers.errors import CellBudgetError
 from appowers.intkernel import is_prime
-from appowers.modroots import kth_roots_mod, kth_roots_mod_prime_power
+from appowers.modroots import (kth_roots_mod, kth_roots_mod_prime_power,
+                               max_root_count)
+from oracles import max_class_size
 
 
 def brute_roots(a, k, m):
@@ -200,6 +202,25 @@ class TestRootCountBound:
         # more than ROOT_BUDGET, but 2 is no square mod 3
         assert kth_roots_mod(2 ** 41, 2, 3 * 2 ** 40) == ()
         assert modroots.root_count(2 ** 41, 2, 3 * 2 ** 40) == 0
+
+
+class TestMaxRootCount:
+    """max_root_count, a closed form over the prime powers of m, is the
+    largest number of roots that any a has mod m."""
+
+    PRIME_POWERS = [p ** e for p in range(2, 2049) if is_prime(p)
+                    for e in range(1, 12) if p ** e <= 2048]
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_matches_the_largest_class(self, k):
+        for m in sorted(set(range(1, 401)) | set(self.PRIME_POWERS)):
+            assert max_root_count(k, m) == max_class_size(k, m), (k, m)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_matches_root_count(self, k):
+        for m in range(1, 201):
+            assert max_root_count(k, m) == max(
+                modroots.root_count(a, k, m) for a in range(m)), (k, m)
 
 
 class TestRootClasses:

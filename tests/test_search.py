@@ -106,11 +106,14 @@ class TestExtremalSearch:
     def test_prunes_classes(self, monkeypatch):
         # N = 1000: q takes the table where its hull's window of about
         # (1002 q)**(1/k) t is longer than q, and walks it elsewhere; every
-        # cell counted calls the count that comes with its q's classes
-        tabled, counted = [], []
+        # cell counted calls the count that comes with its q's classes.  A
+        # q whose largest root class cannot reach the best count is never
+        # listed: no class of it holds more than max_root_count members,
+        # each with at most (B - A) // q + 1 t in the window [A, B]
+        tabled, counted = {}, []
 
         def spy(k, q, A, B, limit):
-            tabled.append(B - A + 1 > limit)
+            tabled[q] = B - A + 1 > limit
             classes, in_window, count = counting._power_classes(k, q, A, B,
                                                                 limit)
 
@@ -124,14 +127,20 @@ class TestExtremalSearch:
             tabled.clear()
             counted.clear()
             rec = extremal_search(k, 1000, 80, a_window=1)
-            assert tabled == [q <= last_tabled for q in range(1, 81)], k
+            assert tabled == {q: q <= last_tabled for q in tabled}, k
+            assert 0 < len(tabled) <= 10, k
             assert 0 < len(counted) < rec.cells_evaluated / 100, k
             assert rec.cells_evaluated == 9720
+            for q in set(range(1, 81)) - set(tabled):
+                A, B = counting.kth_power_t_window(k, 0, 1000 * q + 2 * q - 1)
+                assert (modroots.max_root_count(k, q) * ((B - A) // q + 1)
+                        < rec.best_count_values), (k, q)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_table_needs_no_roots(self, monkeypatch, k):
         # N = 10**12: every q's window is longer than q, and its table finds
-        # the roots of every class without factoring, lifting or the CRT
+        # the roots of every class, so no root is lifted or combined by the
+        # CRT; q is factored only for the bound on its largest class
         def refuse(*args, **kwargs):
             raise AssertionError("the search left the table")
 
@@ -139,11 +148,20 @@ class TestExtremalSearch:
                              (search, "count_powers_in_ap"),
                              (counting, "kth_roots_mod"),
                              (modroots, "kth_roots_mod"),
-                             (modroots, "factorize"),
-                             (intkernel, "factorize")):
+                             (modroots, "root_count"),
+                             (modroots, "_roots_mod_cached")):
             monkeypatch.setattr(module, name, refuse)
+        factored, factorize = [], intkernel.factorize
+
+        def spy(n):
+            factored.append(n)
+            return factorize(n)
+
+        for module in (modroots, intkernel):
+            monkeypatch.setattr(module, "factorize", spy)
         rec = extremal_search(k, 10 ** 12, 80, a_window=1)
         assert rec.best_count_values == {2: 1632993, 3: 10000}[k]
+        assert factored and set(factored) <= set(range(1, 81))
 
     @pytest.mark.parametrize("k,digest", [
         (2, "1bf06258c8df3a9295beaf8a855e423744b47df6df1c996f099941ec6d2d427b"),
@@ -165,6 +183,20 @@ class TestExtremalSearch:
         # its table of x**k mod q; sha256 recorded while each cell was
         # counted on its own
         rec = extremal_search(k, 10 ** 12, 80, a_window=1)
+        text = json.dumps(rec.to_jsonable(), sort_keys=True,
+                          separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("args,digest", [
+        ((2, 1000, 1999),
+         "6c90b13f68ec8cc75dc160bb8c898b3a380bcdb63f20edc24798d7a76b2e7690"),
+        ((3, 10 ** 12, 400),
+         "94cfefc5306dbeae18bc7e45a55f12b7142c443c93495a11d634a50f99a058cd"),
+    ])
+    def test_output_pinned_at_budget_scale(self, args, digest):
+        # q_max = 1999 is the largest the default cell budget admits at
+        # a_window = 0; sha256 recorded while every q was tabled or walked
+        rec = extremal_search(*args)
         text = json.dumps(rec.to_jsonable(), sort_keys=True,
                           separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
