@@ -3,10 +3,10 @@
 Two independent algorithms back the monomial count: an interval walk over the
 kth-root window of the value interval, and residue-stride counting that solves
 t**k = a (mod q) and counts lattice points per residue class arithmetically.
-They cross-check each other in the test suite.  ``auto`` picks between them by
-the walk's length in t against modroots.root_count, the exact number of roots
-of t**k = a (mod q) that the stride counts, read without listing any.  A
-strided call lists those roots once, for both its count and its solutions.
+They cross-check each other in the test suite.  ``auto`` (_auto_roots) weighs
+the walk's length in t against modroots.root_count, read without listing a
+root, and walks within WALK_BUDGET where the roots are over a budget.  A
+strided call lists its roots once, for both its count and its solutions.
 count_power_cells and search.extremal_search count every cell of one (k, q)
 through _power_classes, which bins the kth powers of the hull's window by
 class mod q: from one interval walk where the caller's limit allows it, and
@@ -25,7 +25,7 @@ from itertools import chain
 from . import kernels
 from .errors import CellBudgetError, InternalInvariantError
 from .intkernel import kth_power_t_window
-from .modroots import ROOT_BUDGET, kth_roots_mod, root_count
+from .modroots import kth_roots_mod, root_count
 from .poly import Poly, preimage_range
 
 __all__ = [
@@ -36,7 +36,9 @@ __all__ = [
     "count_poly_in_ap",
 ]
 
-# Longest interval walk, in values of t visited; about 1-2 s of walking.
+# Longest interval walk, in values of t visited.  10**6 t take 0.15, 0.3,
+# 0.6 and 1.1 s at k = 2, 8, 20 and 32 (one x86-64 core, Python 3.11), so
+# the whole budget is about 1.5 s at k = 2 and 11 s at k = 32.
 WALK_BUDGET = 10 ** 7
 # Largest count_t whose solution list is built.
 SOLUTION_CAP = 10 ** 6
@@ -111,33 +113,30 @@ def _residue_stride_counts(roots: tuple[int, ...], q: int, A: int,
             + bisect_right(roots, B % q) - bisect_right(roots, (A - 1) % q))
 
 
-def _choose_algorithm(k: int, prog: Progression, A: int, walk: int) -> str:
-    """Walk windows of at most 64 t; stride windows wider than q.  The
-    window's span is the walk for odd k, and for even k both signs of the
-    walk's t >= 0, t = 0 once.  In between, factor q only when
+def _auto_roots(k: int, prog: Progression, A: int,
+                walk: int) -> tuple[int, ...] | None:
+    """The sorted roots of t**k = a (mod q) that auto strides with, or None
+    for the walk.  Walk windows of at most 64 t; stride windows wider than
+    q.  The window's span is the walk for odd k, and for even k both signs
+    of the walk's t >= 0, t = 0 once.  In between, factor q only when
     q <= span**2 (so factoring costs at most about the walk) or the walk
     exceeds WALK_BUDGET (so it would be refused; factoring then stops at
-    intkernel.RHO_STEP_BUDGET), and stride when the exact modroots.root_count
-    is within modroots.ROOT_BUDGET and twice it is below the walk.  Where
-    root_count raises CellBudgetError (unit roots too many to lift), a walk
-    within WALK_BUDGET is taken; otherwise the error is raised."""
+    intkernel.RHO_STEP_BUDGET), and stride when twice modroots.root_count is
+    below the walk.  A CellBudgetError from counting or listing the roots
+    (modroots.ROOT_BUDGET, unit-root lifting, Brent-rho) falls back to a
+    walk within WALK_BUDGET, and is raised otherwise."""
     span = walk if k % 2 or not walk else 2 * walk - (A == 0)
-    if span <= 64:
-        return "interval"
-    if span > prog.q:
-        return "residue"
-    if prog.q > span * span and walk <= WALK_BUDGET:
-        return "interval"
+    if span <= 64 or (prog.q > span * span and walk <= WALK_BUDGET):
+        return None
     try:
-        roots = root_count(prog.a, k, prog.q)
+        # A root costs the stride 0.07-0.44 us (repeating a class, or the
+        # CRT and the sort), about 0.5-3.5 walked t at 0.1-0.14 us per t.
+        if span > prog.q or 2 * root_count(prog.a, k, prog.q) < walk:
+            return kth_roots_mod(prog.a, k, prog.q)
     except CellBudgetError:
-        if walk <= WALK_BUDGET:
-            return "interval"
-        raise
-    # A root costs the stride 0.07-0.44 us (repeating a class, or the CRT
-    # and the sort), about 0.5-3.5 walked t at 0.1-0.14 us per t.
-    return ("residue" if roots <= ROOT_BUDGET and 2 * roots < walk
-            else "interval")
+        if walk > WALK_BUDGET:
+            raise
+    return None
 
 
 def _check_walk(walk: int) -> None:
@@ -173,15 +172,13 @@ def count_powers_in_ap(k: int, prog: Progression, with_solutions: bool = False,
                        algorithm: str = "auto") -> CountReport:
     """Exact counts of kth powers t**k among the progression's terms.
 
-    algorithm is "interval", "residue", or "auto": the interval walk for a
-    t-window of at most 64 values, the residue stride for one wider than q,
-    and in between the stride when twice the exact modroots.root_count is
-    below the walk's length (see _choose_algorithm).  A walk longer than
-    WALK_BUDGET, a solution list longer than SOLUTION_CAP, and more than
-    modroots.ROOT_BUDGET roots of t**k = a (mod q), counted exactly (0 when
-    one prime power of q has none), raise CellBudgetError before any of it
-    is done.  Solutions are listed by the algorithm that counted them (the
-    stride's from its roots), so a countable cell is listed up to the cap.
+    algorithm is "interval", "residue", or "auto", which takes the roots
+    _auto_roots returns, or the walk when it returns None.  A walk longer
+    than WALK_BUDGET, a solution list longer than SOLUTION_CAP, and a root
+    list that modroots.kth_roots_mod refuses raise CellBudgetError before
+    any of it is done.  Solutions are listed by the algorithm that counted
+    them (the stride's from its roots), so a countable cell is listed up to
+    the cap.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -189,16 +186,18 @@ def count_powers_in_ap(k: int, prog: Progression, with_solutions: bool = False,
     even = k % 2 == 0
     walk = max(B - A + 1, 0)
     if algorithm == "auto":
-        algorithm = _choose_algorithm(k, prog, A, walk)
-    roots = None
-    if algorithm == "interval":
-        _check_walk(walk)
-        cv = kernels.interval_walk(k, prog.a, prog.q, A, B)
+        roots = _auto_roots(k, prog, A, walk)
     elif algorithm == "residue":
         roots = kth_roots_mod(prog.a, k, prog.q)
-        cv = _residue_stride_counts(roots, prog.q, A, B)
+    elif algorithm == "interval":
+        roots = None
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    if roots is None:
+        _check_walk(walk)
+        cv = kernels.interval_walk(k, prog.a, prog.q, A, B)
+    else:
+        cv = _residue_stride_counts(roots, prog.q, A, B)
     # t = 0 is its own mirror
     ct = 2 * cv - (A == 0 <= B and prog.a % prog.q == 0) if even else cv
     solutions = None

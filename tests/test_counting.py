@@ -257,11 +257,69 @@ class TestChooser:
         # lifting is refused while the chooser counts them, and the 41-t
         # walk counts t = +-1
         monkeypatch.setattr(modroots, "ROOT_BUDGET", 16)
-        monkeypatch.setattr(counting, "ROOT_BUDGET", 16)
         monkeypatch.setattr(counting, "_residue_stride_counts", _refuse)
         modroots._roots_mod_cached.cache_clear()
         prog = Progression(1 - 2 ** 12, 2 ** 12, 40 ** 32 // 2 ** 12)
         assert count_powers_in_ap(32, prog) == CountReport(2, 1)
+
+    def test_stride_over_the_root_budget_is_walked(self, monkeypatch):
+        # t**2 = 0 (mod 2**10) holds for the 32 multiples of 32 below q.
+        # The window is t in [32, 607], a walk of 576 t and a span of 1,152
+        # > q, so the stride is tried first; over a budget of 16 roots it is
+        # refused, and the walk counts t = 32, 64, ..., 576 and their mirrors.
+        # With both over budget, the stride's error is raised.
+        monkeypatch.setattr(modroots, "ROOT_BUDGET", 16)
+        monkeypatch.setattr(counting, "WALK_BUDGET", 5000)
+        modroots._roots_mod_cached.cache_clear()
+        prog = Progression(0, 2 ** 10, 360)
+        assert _span(2, prog) > prog.q
+        walked = count_powers_in_ap(2, prog, algorithm="interval")
+        assert (walked.count_t, walked.count_values) == brute_report(2, prog)
+        monkeypatch.setattr(counting, "_residue_stride_counts", _refuse)
+        assert count_powers_in_ap(2, prog) == walked == CountReport(36, 18)
+        monkeypatch.setattr(counting, "WALK_BUDGET", 575)
+        with pytest.raises(CellBudgetError, match="32 roots exceed budget 16"):
+            count_powers_in_ap(2, prog)
+
+    @given(st.integers(min_value=1, max_value=8),
+           st.integers(min_value=0, max_value=10),
+           st.integers(min_value=0, max_value=6),
+           st.sampled_from([p for p in range(2, 100) if is_prime(p)]),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_auto_refuses_only_what_the_walk_cannot_afford(self, k, i, j, p,
+                                                           data):
+        # q = 2**i * 3**j * p, and a = 0, a multiple of a kth power of one of
+        # q's primes, or any residue: with budgets of 16 roots and 5,000
+        # walked t, auto answers as the walk does wherever the walk is within
+        # budget, and raises CellBudgetError only where it is not.  An answer
+        # over the walk budget is checked against a walk of up to 10**5 t.
+        q = 2 ** i * 3 ** j * p
+        a = data.draw(st.one_of(
+            st.just(0),
+            st.builds(lambda r, m, u: r ** (k * m) * u,
+                      st.sampled_from((2, 3, p)),
+                      st.integers(min_value=1, max_value=3),
+                      st.integers(min_value=-q, max_value=q)),
+            st.integers(min_value=-q, max_value=q)))
+        N = data.draw(st.integers(min_value=0, max_value=40).flatmap(
+            lambda e: st.integers(min_value=1, max_value=10 ** e)))
+        prog = Progression(a, q, N)
+        A, B = kth_power_t_window(k, prog.lo, prog.hi)
+        walk = max(B - A + 1, 0)
+        want = (count_powers_in_ap(k, prog, algorithm="interval")
+                if walk <= 10 ** 5 else None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(modroots, "ROOT_BUDGET", 16)
+            mp.setattr(counting, "WALK_BUDGET", 5000)
+            modroots._roots_mod_cached.cache_clear()
+            try:
+                got = count_powers_in_ap(k, prog)
+            except CellBudgetError:
+                assert walk > counting.WALK_BUDGET, (k, a, q, N)
+                return
+        if want is not None:
+            assert got == want, (k, a, q, N)
 
     @given(st.integers(min_value=1, max_value=7),
            st.integers(min_value=-10 ** 12, max_value=10 ** 12),
@@ -269,26 +327,29 @@ class TestChooser:
     @settings(max_examples=300)
     def test_span_is_the_window_width(self, k, x, y):
         # The chooser reads the window's span off the counted interval
-        # alone.  With more roots than modroots.ROOT_BUDGET, a window of
-        # span S > 64 is strided at q = S - 1 (span > q) and walked at q = S,
-        # so the two calls pin the chooser's span to S; a span of at most 64
-        # is walked even at q = 1.
+        # alone.  With root_count patched to 0, a window of span S > 64 is
+        # strided at q = S*S and walked at q = S*S + 1 (q > span**2), so the
+        # two calls pin the chooser's span to S; where that walk is over
+        # WALK_BUDGET (k = 1 at large values), both q stride.  A span of at
+        # most 64 is walked even at q = 1.
         lo, hi = min(x, y), max(x, y)
         S = _span_of(k, lo, hi)
         A, B = counting.kth_power_t_window(k, lo, hi)
         walk = max(B - A + 1, 0)
+        strided = object()
 
         def choose(q):
-            return counting._choose_algorithm(k, Progression(0, q, 1), A, walk)
+            return counting._auto_roots(k, Progression(0, q, 1), A, walk)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(counting, "root_count",
-                       lambda *args: counting.ROOT_BUDGET + 1)
+            mp.setattr(counting, "root_count", lambda *args: 0)
+            mp.setattr(counting, "kth_roots_mod", lambda *args: strided)
             if S > 64:
-                assert (choose(S - 1), choose(S)) == (
-                    "residue", "interval"), (k, lo, hi, S)
+                over = walk > counting.WALK_BUDGET
+                assert (choose(S * S), choose(S * S + 1)) == (
+                    strided, strided if over else None), (k, lo, hi, S)
             else:
-                assert choose(1) == "interval", (k, lo, hi, S)
+                assert choose(1) is None, (k, lo, hi, S)
 
 
 class TestBudgets:
