@@ -144,8 +144,6 @@ def _brent_rho(n: int) -> int:
     more than RHO_STEP_BUDGET steps (a round of 2*r steps is charged before
     it runs); factorize's lru_cache does not cache the refusal.
     """
-    if n % 2 == 0:
-        return 2
     steps = 0
     for c in range(1, 1000):
         y, m, g, r, q = 2, 128, 1, 1, 1
@@ -239,17 +237,15 @@ def ikth_root_floor(x: int, k: int) -> int:
         return math.isqrt(x)
     if x.bit_length() <= k:
         return 1
+    # The seed exceeds x**(1/k).  From any r above the floor root s, the
+    # step lands in [s, r) by AM-GM, and at r = s it does not decrease, so
+    # the descent stops exactly on s.
     r = 1 << -(-x.bit_length() // k)
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
         if nr >= r:
-            break
+            return r
         r = nr
-    while r ** k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
 
 
 def ikth_root_ceil(x: int, k: int) -> int:

@@ -13,11 +13,11 @@ of M below m.  Modulo p**e:
 * p**v exactly divides a: x = p**(v/k) * y (no roots unless k | v), with y a
   unit root of y**k = a / p**v (mod p**(e-v)) and its next v - v/k p-adic
   digits free, so step = p**(e-v+v/k);
-* unit roots mod p: a table of kth powers for p <= SMALL_PRIME; above it, an
-  Euler-criterion test, one root of x**d = a**s with d = gcd(k, p-1) and
-  s*k = d (mod p-1), found Sylow subgroup by Sylow subgroup (one prime r | d
-  at a time, digit by digit as in Tonelli-Shanks and Adleman-Manders-Miller),
-  and the other d - 1 roots from the d-th roots of unity;
+* unit roots mod p, for every prime p: an Euler-criterion test, one root of
+  x**d = a**s with d = gcd(k, p-1) and s*k = d (mod p-1), found Sylow
+  subgroup by Sylow subgroup (one prime r | d at a time, digit by digit as in
+  Tonelli-Shanks and Adleman-Manders-Miller), and the other d - 1 roots from
+  the d-th roots of unity, in time polynomial in log p;
 * unit roots mod p**e: Newton (Hensel) steps when p does not divide k, and,
   when p | k (so p <= k), all p extensions of each root tried level by level.
 """
@@ -32,8 +32,6 @@ from .intkernel import factorize, is_prime
 __all__ = ["kth_roots_mod_prime_power", "kth_roots_mod", "root_count",
            "max_root_count"]
 
-# Largest prime whose roots come from a table of kth powers mod p.
-SMALL_PRIME = 256
 # Largest root list built; 2**18 unit roots take about 0.25 s through the CRT.
 ROOT_BUDGET = 2 ** 18
 
@@ -45,7 +43,12 @@ def _check_root_count(n: int, what: str = "roots") -> None:
 
 @lru_cache(maxsize=4096)
 def _power_map(k: int, p: int) -> dict[int, tuple[int, ...]]:
-    """Map a -> all x in [0, p) with x**k = a (mod p), by one O(p) pass."""
+    """Map a -> all x in [0, p) with x**k = a (mod p), by one O(p) pass.
+
+    Nothing in the package calls it: _roots_mod_prime serves every prime.
+    It stays only because perfbench/tracer.py reads its cache_info as the
+    cache "modroots.power_map", and a test requires each such cache to exist.
+    """
     table: dict[int, list[int]] = {}
     for x in range(p):
         table.setdefault(pow(x, k, p), []).append(x)
@@ -85,8 +88,6 @@ def _sylow_plan(p: int, d: int) -> tuple[tuple, int, int]:
 
 def _roots_mod_prime(a: int, k: int, p: int) -> tuple[int, ...]:
     """Sorted x in [0, p) with x**k = a (mod p), for a unit a in [1, p)."""
-    if p <= SMALL_PRIME:
-        return _power_map(k, p).get(a, ())
     d = math.gcd(k, p - 1)
     if d == 1:
         return (pow(a, pow(k, -1, p - 1), p),)

@@ -86,18 +86,17 @@ def difference_quotient(P: Poly, t0: int) -> Poly:
 def _root_bound(coeffs: tuple[int, ...], shift: int) -> int:
     """Integer B >= every |root| of the polynomial with c0 shifted by -shift.
 
-    B is the smaller of Cauchy's bound 1 + max |c_i / c_n| and Fujiwara's
-    2 * max |c_i / c_n|**(1/(n-i)), with c0 halved in Fujiwara's term; each
-    ratio and root is rounded up exactly, so B grows like |shift|**(1/n).
+    B is Fujiwara's bound 2 * max |c_i / c_n|**(1/(n-i)), with c0 halved;
+    each ratio and root is rounded up exactly, so B grows like
+    |shift|**(1/n).
     """
     lead = abs(coeffs[-1])
     n = len(coeffs) - 1
-    top = fuji = 0
+    fuji = 0
     for i, c in enumerate(coeffs[:-1]):
         c, den = (abs(c - shift), 2 * lead) if i == 0 else (abs(c), lead)
-        top = max(top, c)
         fuji = max(fuji, ikth_root_ceil(-(-c // den), n - i))
-    return min(1 + -(-top // lead), 2 * fuji)
+    return 2 * fuji
 
 
 def _last(pred, x: int, y: int) -> int:
@@ -146,12 +145,13 @@ def preimage_range(P: Poly, lo: int, hi: int) -> list[tuple[int, int]]:
     The intervals are ascending, disjoint and not merged, and P is strictly
     monotone on each; for P = t**k with even k they cover both signs of t,
     where intkernel.kth_power_t_window gives only the t >= 0.
-    Every solution lies in [-B, B], B the larger root bound of P - lo and
-    P - hi (see _root_bound); that bracket is cut into the pieces on which
-    P is monotone (_monotone_pieces), or into single integers when it holds
-    fewer than deg P of them, and each piece is bisected for its first and
-    last t with P(t) in [lo, hi].  The cost is polynomial in the degree and
-    in log B, whatever the width of [lo, hi].
+    Every solution lies in [-B, B], B the larger of Fujiwara's bounds on
+    the roots of P - lo and P - hi (see _root_bound); that bracket is cut
+    into the pieces on which P is monotone (_monotone_pieces), or into
+    single integers when it holds fewer than deg P of them, and each piece
+    is bisected for its first and last t with P(t) in [lo, hi].  The cost
+    is polynomial in the degree and in log B, whatever the width of
+    [lo, hi].
     """
     if lo > hi:
         raise ValueError(f"empty value interval [{lo}, {hi}]")

@@ -304,6 +304,11 @@ class TestVerify:
             assert time.perf_counter() - start < 1.0
             assert code == 1 and out == ""
 
+    def test_malformed_k_set_exit_1(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--k-set", "2,x",
+                               "--q-max", "3", "--N-set", "10")
+        assert code == 1 and out == ""
+
     @pytest.mark.parametrize("k_set,N_set,name", [
         ("0,2", "10", "k_set"), ("-1", "10", "k_set"),
         ("2", "0,10", "N_set"), ("2,3", "-5", "N_set"),

@@ -233,8 +233,29 @@ class TestRoots:
         with pytest.raises(ValueError):
             ikth_root_floor(5, 0)
 
+    @given(st.integers(min_value=1, max_value=64),
+           st.integers(min_value=0, max_value=2 ** 256),
+           st.sampled_from([-1, 0, 1]),
+           st.integers(min_value=0, max_value=2 ** 4096))
+    @settings(max_examples=500, deadline=None)
+    def test_floor_root_property(self, k, r, delta, x):
+        # next to an exact kth power, and anywhere up to 4,096 bits
+        for y in (max(r ** k + delta, 0), x):
+            s = ikth_root_floor(y, k)
+            assert s ** k <= y < (s + 1) ** k
+
+    def test_huge_k_is_instant(self):
+        # x below 2**k has floor root 1 without any 2**(k-1)-sized step
+        start = time.perf_counter()
+        assert ikth_root_floor(10 ** 21, 10 ** 8) == 1
+        assert time.perf_counter() - start < 0.1
+
 
 class TestTWindow:
+    def test_rejects_empty_interval(self):
+        with pytest.raises(ValueError):
+            kth_power_t_window(2, 5, 4)
+
     @given(st.integers(min_value=1, max_value=5),
            st.integers(min_value=-500, max_value=500),
            st.integers(min_value=0, max_value=300))

@@ -29,6 +29,12 @@ class TestPrimePower:
         with pytest.raises(ValueError):
             kth_roots_mod_prime_power(1, 2, 15, 1)
 
+    def test_rejects_nonpositive_k_or_e(self):
+        with pytest.raises(ValueError):
+            kth_roots_mod_prime_power(1, 0, 7, 1)
+        with pytest.raises(ValueError):
+            kth_roots_mod_prime_power(1, 2, 7, 0)
+
     def test_cap(self):
         # no cap on p**e: the four square roots of 1 are +-1 and 2**(e-1) +- 1
         for e in (24, 31, 40):
@@ -63,10 +69,9 @@ class TestPrimePower:
 
 
 class TestLargePrimes:
-    """Roots mod p above SMALL_PRIME come from the Sylow subgroups of
-    (Z/p)^*, not from a table of kth powers."""
+    """Roots mod every prime p come from the Sylow subgroups of (Z/p)^*."""
 
-    @given(st.integers(min_value=modroots.SMALL_PRIME + 1, max_value=20000),
+    @given(st.integers(min_value=2, max_value=20000),
            st.integers(min_value=2, max_value=12))
     @settings(max_examples=25, deadline=None)
     def test_against_power_table(self, n, k):
@@ -77,6 +82,18 @@ class TestLargePrimes:
         for a in range(p):
             assert kth_roots_mod_prime_power(a, k, p, 1) == \
                 tuple(table.get(a, ())), (a, k, p)
+
+    def test_deep_sylow_digits_of_every_prime_to_256(self):
+        # k up to 256 reaches every digit of the 2- and 3-Sylow subgroups of
+        # p such as 193 (p - 1 = 2**6 * 3) and 241 (p - 1 = 2**4 * 3 * 5)
+        for p in filter(is_prime, range(257)):
+            for k in (*range(2, 13), 16, 24, 32, 48, 64, 96, 128, 192, 256):
+                table = {}
+                for x in range(p):
+                    table.setdefault(pow(x, k, p), []).append(x)
+                for a in range(p):
+                    assert kth_roots_mod_prime_power(a, k, p, 1) == \
+                        tuple(table.get(a, ())), (a, k, p)
 
     @given(st.integers(min_value=10 ** 12, max_value=10 ** 40),
            st.integers(min_value=2, max_value=12),
@@ -130,6 +147,10 @@ class TestCompositeModulus:
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):
             kth_roots_mod(1, 2, 0)
+
+    def test_rejects_nonpositive_k(self):
+        with pytest.raises(ValueError):
+            kth_roots_mod(1, 0, 24)
 
     def test_brute_force_grid(self):
         for m in range(1, 301):

@@ -29,6 +29,8 @@ class TestPoly:
         assert Poly.monomial(3).is_monic_monomial
         assert not Poly((0, 0, 2)).is_monic_monomial
         assert not Poly((1, 0, 1)).is_monic_monomial
+        with pytest.raises(ValueError):
+            Poly.monomial(-1)
 
     def test_parse(self):
         assert parse_poly("1,0,2").coeffs == (1, 0, 2)
