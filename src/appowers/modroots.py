@@ -4,7 +4,7 @@ The roots are returned as a sorted tuple.  A composite modulus is split into
 its prime powers p**e, whose roots are cached, by (a mod p**e, k, p, e), as
 (ys, step): x is a root exactly when x mod step, a divisor of p**e, lies in
 the sorted ys.  root_count multiplies len(ys) * p**e / step over the parts;
-max_root_count, the most roots any a has, is a closed form over the p**e;
+max_root_counts sieves the most roots any a has mod every m <= n;
 kth_roots_mod checks that count against ROOT_BUDGET, joins the ys by the
 CRT modulo the product M of the steps, sorts them, and adds every multiple
 of M below m.  Modulo p**e:
@@ -30,7 +30,7 @@ from .errors import CellBudgetError
 from .intkernel import factorize, is_prime
 
 __all__ = ["kth_roots_mod_prime_power", "kth_roots_mod", "root_count",
-           "max_root_count"]
+           "max_root_counts"]
 
 # Largest root list built; 2**18 unit roots take about 0.25 s through the CRT.
 ROOT_BUDGET = 2 ** 18
@@ -173,31 +173,48 @@ def root_count(a: int, k: int, m: int) -> int:
     return count
 
 
-def max_root_count(k: int, m: int) -> int:
-    """The largest number of x in [0, m) that share one x**k mod m, for
-    m, k >= 1: the maximum over a of root_count(a, k, m), in closed form.
+def _max_root_count_mod_prime_power(k: int, p: int, e: int) -> int:
+    """The largest number of x in [0, p**e) that share one x**k mod p**e.
 
-    It multiplies over the prime powers p**e of m.  a = 0 has
-    p**(e - ceil(e/k)) roots.  An a = p**v * u, u a unit, has none unless
-    k | v, and then p**(v - v/k) for each unit root of y**k = u
-    (mod p**(e-v)).  Those are 0 or as many as the kth roots of 1, U of
-    them: the unit group mod p**j is cyclic of order (p-1) p**(j-1) for
-    odd p, and C2 x C(2**(j-2)) for p = 2 and j >= 3.
+    a = 0 has p**(e - ceil(e/k)) roots.  An a = p**v * u, u a unit, has
+    none unless k | v, and then p**(v - v/k) for each unit root of
+    y**k = u (mod p**(e-v)).  Those are 0 or as many as the kth roots of 1,
+    U of them: the unit group mod p**j is cyclic of order (p-1) p**(j-1)
+    for odd p, and C2 x C(2**(j-2)) for p = 2 and j >= 3.
     """
-    count = 1
-    for p, e in factorize(m):
-        most = p ** (e - (e + k - 1) // k)  # the roots of a = 0
-        for v in range(0, e, k):
-            j = e - v
-            if p > 2:
-                units = math.gcd(k, (p - 1) * p ** (j - 1))
-            elif j < 3:
-                units = math.gcd(k, j)  # 1 mod 2, and gcd(k, 2) mod 4
-            else:
-                units = math.gcd(k, 2) * math.gcd(k, 2 ** (j - 2))
-            most = max(most, p ** (v - v // k) * units)
-        count *= most
-    return count
+    most = p ** (e - (e + k - 1) // k)  # the roots of a = 0
+    for v in range(0, e, k):
+        j = e - v
+        if p > 2:
+            units = math.gcd(k, (p - 1) * p ** (j - 1))
+        elif j < 3:
+            units = math.gcd(k, j)  # 1 mod 2, and gcd(k, 2) mod 4
+        else:
+            units = math.gcd(k, 2) * math.gcd(k, 2 ** (j - 2))
+        most = max(most, p ** (v - v // k) * units)
+    return most
+
+
+def max_root_counts(k: int, n: int) -> list[int]:
+    """Entry m <= n is the most x in [0, m) that share one x**k mod m (the
+    maximum over a of root_count(a, k, m)), for k >= 1; entry 0 is 0.  One
+    sieve builds the list and factors no m: each prime power p**e <= n
+    multiplies its own count into the multiples of p**e that p**(e+1) does
+    not divide, since the count is multiplicative."""
+    counts, composite = [0] + [1] * n, bytearray(n + 1)
+    for p in range(2, n + 1):
+        if composite[p]:
+            continue
+        composite[p * p::p] = b"\1" * len(range(p * p, n + 1, p))
+        pe, e = p, 1
+        while pe <= n:
+            most, nxt = _max_root_count_mod_prime_power(k, p, e), pe * p
+            if most > 1:
+                for m in range(pe, n + 1, pe):
+                    if m % nxt:
+                        counts[m] *= most
+            pe, e = nxt, e + 1
+    return counts
 
 
 def kth_roots_mod_prime_power(a: int, k: int, p: int,

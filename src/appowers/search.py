@@ -3,13 +3,13 @@
 The supremum over offsets is genuinely unbounded, but the count depends on a
 only through a mod q and the interval position, so the search sweeps residues
 r in [0, q) plus an optional window of whole-step shifts s, i.e.
-a = r + s*q with s in [-a_window, a_window].  A q is first bounded: q is
-factored only for modroots.max_root_count, the most roots any class mod q
-has, and a q whose largest class cannot reach the best count is skipped,
-neither tabled nor walked.  Each other q's cells are counted by
-counting._power_classes, from one shared walk of t**k or, where that walk
-would be longer than q, from one table of x**k mod q; neither lifts a root
-or combines roots by the CRT.
+a = r + s*q with s in [-a_window, a_window].  A q is first bounded by the
+most roots any class mod q has, from one sieve that factors no q
+(modroots.max_root_counts), and a q whose largest class cannot reach the
+best count is skipped, neither tabled nor walked.  Each other q's cells are
+counted by counting._power_classes, from one shared walk of t**k or, where
+that walk would be longer than q, from one table of x**k mod q; neither
+lifts a root or combines roots by the CRT.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from . import counting
 from .counting import (CountReport, Progression, _power_classes,
                        count_powers_in_ap)
 from .errors import CellBudgetError
-from .modroots import max_root_count
+from .modroots import max_root_counts
 
 __all__ = ["SearchRecord", "extremal_search", "rudin_count",
            "rudin_progression"]
@@ -66,13 +66,13 @@ def extremal_search(k: int, N: int, q_max: int, a_window: int = 0,
     calls, so one table of x**k mod q for x in [0, q) lists every class's
     roots instead.  A cell a = r + s*q holds only values of class r in the
     hull, so a class with fewer t in [A, B] than the best count so far is
-    skipped whole.  Before that, a q whose max_root_count(k, q) members
-    times the most t one member has in [A, B] is below the best is
-    skipped: it is neither tabled nor walked, so its table is never
-    refused by the walk budget, and its cells cannot reach or tie the
-    best.  cells_evaluated is the grid's size.  Exceeds the cell
-    budget -> CellBudgetError before any evaluation.  ``threads`` is
-    accepted and ignored.
+    skipped whole.  Before that, a q whose largest class (one sieve,
+    max_root_counts(k, q_max), bounds every q and factors none) times the
+    most t one member has in [A, B] is below the best is skipped: it is
+    neither tabled nor walked, so its table is never refused by the walk
+    budget, and its cells cannot reach or tie the best.  cells_evaluated
+    is the grid's size.  Exceeds the cell budget -> CellBudgetError before
+    the sieve or any evaluation.  ``threads`` is accepted and ignored.
     """
     if k < 2:
         raise ValueError(f"extremal search needs k >= 2, got {k}")
@@ -82,17 +82,18 @@ def extremal_search(k: int, N: int, q_max: int, a_window: int = 0,
     if total > cell_budget:
         raise CellBudgetError(
             f"search would evaluate {total} cells, budget is {cell_budget}")
+    bounds = max_root_counts(k, q_max)
     best = -1
     cells: list[tuple[int, int]] = []
     for q in range(1, q_max + 1):
         A, B = counting.kth_power_t_window(k, q - a_window * q,
                                            q - 1 + a_window * q + N * q)
         # no member has more than `most` t in [A, B] (one, on a walk; none,
-        # in an empty window), and no class more than max_root_count
-        # members, so a q or a class whose members times `most` is below
-        # the best is skipped before it is tabled or in_window counts it
+        # in an empty window), and no class more than bounds[q] members, so
+        # a q or a class whose members times `most` is below the best is
+        # skipped before it is tabled or in_window counts it
         most = (B - A) // q + 1
-        if max_root_count(k, q) * most < best:
+        if bounds[q] * most < best:
             continue
         classes, in_window, count = _power_classes(k, q, A, B, q)
         # A class with no value in the hull, or no root mod q, is not listed:

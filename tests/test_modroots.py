@@ -8,7 +8,7 @@ from appowers import modroots
 from appowers.errors import CellBudgetError
 from appowers.intkernel import is_prime
 from appowers.modroots import (kth_roots_mod, kth_roots_mod_prime_power,
-                               max_root_count)
+                               max_root_counts)
 from oracles import max_class_size
 
 
@@ -226,22 +226,37 @@ class TestRootCountBound:
 
 
 class TestMaxRootCount:
-    """max_root_count, a closed form over the prime powers of m, is the
-    largest number of roots that any a has mod m."""
+    """max_root_counts, one sieve over the prime powers up to n, lists the
+    largest number of roots that any a has mod each m <= n."""
 
     PRIME_POWERS = [p ** e for p in range(2, 2049) if is_prime(p)
                     for e in range(1, 12) if p ** e <= 2048]
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_matches_the_largest_class(self, k):
+        counts = max_root_counts(k, 2048)
         for m in sorted(set(range(1, 401)) | set(self.PRIME_POWERS)):
-            assert max_root_count(k, m) == max_class_size(k, m), (k, m)
+            assert counts[m] == max_class_size(k, m), (k, m)
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_matches_root_count(self, k):
+        counts = max_root_counts(k, 200)
         for m in range(1, 201):
-            assert max_root_count(k, m) == max(
+            assert counts[m] == max(
                 modroots.root_count(a, k, m) for a in range(m)), (k, m)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_small_tables(self, k):
+        # entry 0 stands for no modulus; mod 1 and mod 2 each root is alone
+        # in its class, and a table for n is the start of every longer one
+        assert max_root_counts(k, 0) == [0]
+        assert max_root_counts(k, 1) == [0, 1]
+        assert max_root_counts(k, 2) == [0, 1, 1]
+        longest = max_root_counts(k, 2048)
+        for n in (3, 80, 81, 1999):
+            counts = max_root_counts(k, n)
+            assert len(counts) == n + 1
+            assert counts == longest[:n + 1], (k, n)
 
 
 class TestRootClasses:

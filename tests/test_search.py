@@ -108,8 +108,8 @@ class TestExtremalSearch:
         # (1002 q)**(1/k) t is longer than q, and walks it elsewhere; every
         # cell counted calls the count that comes with its q's classes.  A
         # q whose largest root class cannot reach the best count is never
-        # listed: no class of it holds more than max_root_count members,
-        # each with at most (B - A) // q + 1 t in the window [A, B]
+        # listed: no class of it holds more than max_root_counts(k, 80)[q]
+        # members, each with at most (B - A) // q + 1 t in the window [A, B]
         tabled, counted = {}, []
 
         def spy(k, q, A, B, limit):
@@ -124,6 +124,7 @@ class TestExtremalSearch:
 
         monkeypatch.setattr(search, "_power_classes", spy)
         for k, last_tabled in ((2, 80), (3, 31)):
+            bounds = modroots.max_root_counts(k, 80)
             tabled.clear()
             counted.clear()
             rec = extremal_search(k, 1000, 80, a_window=1)
@@ -133,14 +134,15 @@ class TestExtremalSearch:
             assert rec.cells_evaluated == 9720
             for q in set(range(1, 81)) - set(tabled):
                 A, B = counting.kth_power_t_window(k, 0, 1000 * q + 2 * q - 1)
-                assert (modroots.max_root_count(k, q) * ((B - A) // q + 1)
+                assert (bounds[q] * ((B - A) // q + 1)
                         < rec.best_count_values), (k, q)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_table_needs_no_roots(self, monkeypatch, k):
         # N = 10**12: every q's window is longer than q, and its table finds
         # the roots of every class, so no root is lifted or combined by the
-        # CRT; q is factored only for the bound on its largest class
+        # CRT; the bound on each q's largest class comes from one sieve, so
+        # no q is factored
         def refuse(*args, **kwargs):
             raise AssertionError("the search left the table")
 
@@ -161,7 +163,7 @@ class TestExtremalSearch:
             monkeypatch.setattr(module, "factorize", spy)
         rec = extremal_search(k, 10 ** 12, 80, a_window=1)
         assert rec.best_count_values == {2: 1632993, 3: 10000}[k]
-        assert factored and set(factored) <= set(range(1, 81))
+        assert factored == []
 
     @pytest.mark.parametrize("k,digest", [
         (2, "1bf06258c8df3a9295beaf8a855e423744b47df6df1c996f099941ec6d2d427b"),
@@ -203,10 +205,12 @@ class TestExtremalSearch:
 
     def test_budget(self, monkeypatch):
         def no_cell(*args, **kwargs):
-            raise AssertionError("a cell ran before the budget check")
+            raise AssertionError("a cell or the sieve ran before the "
+                                 "budget check")
 
         monkeypatch.setattr(search, "count_powers_in_ap", no_cell)
         monkeypatch.setattr(search, "_power_classes", no_cell)
+        monkeypatch.setattr(search, "max_root_counts", no_cell)
         with pytest.raises(CellBudgetError):
             extremal_search(2, 10, 10 ** 5, cell_budget=1000)
         with pytest.raises(CellBudgetError,
