@@ -21,7 +21,6 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain
 
 from . import kernels
 from .errors import CellBudgetError, InternalInvariantError
@@ -279,14 +278,10 @@ def count_power_cells(k: int, q: int,
 
 def _segment_hits(P: Poly, a: int, q: int, A: int, B: int):
     """(P(t), t) for the t in [A, B] with P(t) = a (mod q), by increasing
-    P(t).  P is strictly monotone on [A, B]; its first two values give the
-    direction, so each t is evaluated once."""
-    head = [(P(t), t) for t in range(A, min(A + 2, B + 1))]
-    if len(head) == 2 and head[0][0] > head[1][0]:
-        pairs = chain(((P(t), t) for t in range(B, A + 1, -1)), reversed(head))
-    else:
-        pairs = chain(head, ((P(t), t) for t in range(A + 2, B + 1)))
-    return ((v, t) for v, t in pairs if (v - a) % q == 0)
+    P(t).  P is strictly monotone on [A, B], so its values at the endpoints
+    give the direction of the walk."""
+    ts = range(A, B + 1) if P(A) <= P(B) else range(B, A - 1, -1)
+    return ((v, t) for v, t in ((P(t), t) for t in ts) if (v - a) % q == 0)
 
 
 def count_poly_in_ap(P: Poly, prog: Progression, with_solutions: bool = False,

@@ -175,15 +175,21 @@ def _brent_rho(n: int) -> int:
     raise ArithmeticError(f"could not find a factor of {n}")
 
 
-def _factor_into(n: int, out: dict[int, int]) -> None:
+def _factor_into(n: int, out: dict[int, int], times: int = 1) -> None:
+    """Add n**times to out, for an n with no prime factor below 2**12."""
     if n == 1:
         return
     if is_prime(n):
-        out[n] = out.get(n, 0) + 1
+        out[n] = out.get(n, 0) + times
         return
+    for j in range(2, n.bit_length() // 12 + 1):  # n = r**j has r > 2**12
+        r = ikth_root_floor(n, j)
+        if r ** j == n:
+            _factor_into(r, out, times * j)
+            return
     d = _brent_rho(n)
-    _factor_into(d, out)
-    _factor_into(n // d, out)
+    _factor_into(d, out, times)
+    _factor_into(n // d, out, times)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -192,9 +198,10 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
     Trial division by the primes below 2**12, stopping once p*p exceeds the
     cofactor; a cofactor left after the whole table has no prime factor
-    below 2**12 and goes to Miller-Rabin, then Brent-rho, which finds a
-    prime factor p in about sqrt(p) steps.  A Brent-rho call over
-    RHO_STEP_BUDGET steps raises CellBudgetError.
+    below 2**12 and goes to Miller-Rabin, then to a perfect-power test
+    (r**j with j <= bits/12, whose root r is factored instead), then to
+    Brent-rho, which finds a prime factor p in about sqrt(p) steps.  A
+    Brent-rho call over RHO_STEP_BUDGET steps raises CellBudgetError.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")

@@ -27,7 +27,7 @@ import math
 from functools import lru_cache
 
 from .errors import CellBudgetError
-from .intkernel import factorize, is_prime
+from .intkernel import _prime_table, factorize, is_prime
 
 __all__ = ["kth_roots_mod_prime_power", "kth_roots_mod", "root_count",
            "max_root_counts"]
@@ -89,7 +89,7 @@ def _sylow_plan(p: int, d: int) -> tuple[tuple, int, int]:
 def _roots_mod_prime(a: int, k: int, p: int) -> tuple[int, ...]:
     """Sorted x in [0, p) with x**k = a (mod p), for a unit a in [1, p)."""
     d = math.gcd(k, p - 1)
-    if d == 1:
+    if d == 1:  # a fast path: the Sylow steps find this root too
         return (pow(a, pow(k, -1, p - 1), p),)
     if pow(a, (p - 1) // d, p) != 1:
         return ()
@@ -118,7 +118,7 @@ def _roots_mod_prime(a: int, k: int, p: int) -> tuple[int, ...]:
 def _unit_roots(b: int, k: int, p: int, e: int) -> tuple[int, ...]:
     """Sorted y in [0, p**e) with y**k = b (mod p**e), for b a unit mod p."""
     roots = _roots_mod_prime(b % p, k, p)
-    if e == 1:
+    if e == 1:  # a fast path: neither lifting loop runs
         return roots
     pe = p ** e
     if k % p:
@@ -152,7 +152,7 @@ def _roots_mod_cached(a: int, k: int, p: int, e: int) -> tuple[tuple, int]:
     while a % p == 0:
         a //= p
         v += 1
-    if v == 0:
+    if v == 0:  # a fast path: the valuation path at scale 1
         return _unit_roots(a, k, p, e), p ** e
     if v % k:
         return (), p ** e
@@ -201,11 +201,8 @@ def max_root_counts(k: int, n: int) -> list[int]:
     sieve builds the list and factors no m: each prime power p**e <= n
     multiplies its own count into the multiples of p**e that p**(e+1) does
     not divide, since the count is multiplicative."""
-    counts, composite = [0] + [1] * n, bytearray(n + 1)
-    for p in range(2, n + 1):
-        if composite[p]:
-            continue
-        composite[p * p::p] = b"\1" * len(range(p * p, n + 1, p))
+    counts = [0] + [1] * n
+    for p in _prime_table(n + 1):
         pe, e = p, 1
         while pe <= n:
             most, nxt = _max_root_count_mod_prime_power(k, p, e), pe * p

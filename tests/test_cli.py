@@ -131,6 +131,11 @@ class TestCount:
         # the hang probe: auto strides, and q | t**2 needs q | t, too large
         (("--k", "2", "--a", "0", "--q", "1000000000000000000000000000057",
           "--N", "100000000000000000000"), 0),
+        # q = p**2, p = 2^61 - 1, factored as a square before Brent-rho:
+        # t**2 = 1 (mod q) only for t = +-1, so the window of t >= 0 holds
+        # t = 1 and t = q - 1, two values and four t with their mirrors
+        (("--k", "2", "--a", str(1 - (2 ** 61 - 1) ** 2),
+          "--q", str((2 ** 61 - 1) ** 2), "--N", str((2 ** 61 - 1) ** 2)), 4),
     ])
     def test_large_prime_powers_answered_at_once(self, capsys, argv, want):
         start = time.perf_counter()
@@ -215,6 +220,14 @@ class TestRoots:
                      for x1 in (1, p1 - 1) for x2 in (1, p2 - 1))
         assert env["result"]["residues"] == crt
         assert len(crt) == 4
+
+    def test_square_of_a_large_prime_modulus(self, capsys):
+        q = (2 ** 61 - 1) ** 2
+        start = time.perf_counter()
+        env = run_json(capsys, "roots", "--a", "1", "--k", "2",
+                       "--mod", str(q))
+        assert time.perf_counter() - start < 1.0
+        assert env["result"] == {"modulus": q, "residues": [1, q - 1]}
 
     def test_bad_modulus_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "roots", "--a", "1", "--k", "2",

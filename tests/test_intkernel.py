@@ -85,6 +85,20 @@ class TestFactorize:
         m61 = 2 ** 61 - 1
         assert factorize(m61) == ((m61, 1),)
 
+    @pytest.mark.parametrize("n,want", [
+        ((2 ** 61 - 1) ** 2, ((2 ** 61 - 1, 2),)),
+        (7 * (2 ** 40 + 15) ** 3, ((7, 1), (2 ** 40 + 15, 3))),
+        ((10 ** 12 + 39) ** 2, ((10 ** 12 + 39, 2),)),
+    ])
+    def test_perfect_power_of_a_large_prime(self, n, want):
+        # Brent-rho would need about sqrt(p) steps, far over its budget;
+        # the cofactor is found to be an exact power before rho is tried
+        factorize.cache_clear()
+        start = time.perf_counter()
+        assert factorize(n) == want
+        assert time.perf_counter() - start < 0.05
+        assert all(is_prime(p) for p, _ in want)
+
     @given(st.integers(min_value=1, max_value=10 ** 6))
     @settings(max_examples=300)
     def test_roundtrip(self, n):
