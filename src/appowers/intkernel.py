@@ -25,6 +25,11 @@ __all__ = [
 # Rho needs about sqrt(p) steps to find a prime factor p: this finds almost
 # every one below 1e11 and refuses most above 1e12.
 RHO_STEP_BUDGET = 1_500_000
+# ikth_root_floor seeds its descent from the root of x's top bits above this
+# many bits of x.  Measured for k in {3, 4, 5, 7, 20} (Python 3.11, shared
+# 2-core machine): at 600 bits that seed ran 0.9-1.1x as fast as the
+# bit-length one, at 800 bits 1.05-1.3x, and at 431,912 bits (k = 3) 6.7x.
+_DOUBLING_BITS = 700
 # Deterministic Miller-Rabin witnesses: the primes 2..41 are exact below
 # _MR_EXACT_LIMIT, the least strong pseudoprime to all of them (OEIS A014233).
 # 2..37 alone pass 318665857834031151167461 = 399165290221 * 798330580441.
@@ -231,7 +236,8 @@ def divisor_count(n: int) -> int:
 def ikth_root_floor(x: int, k: int) -> int:
     """Largest r >= 0 with r**k <= x, in exact integer arithmetic.
 
-    Integer Newton iteration seeded from the bit length; the contract is
+    Integer Newton descent, seeded from the bit length or, for a long x,
+    from the root of its top bits (precision doubling); the contract is
     exact, no floating point is involved.
     """
     if x < 0:
@@ -242,12 +248,19 @@ def ikth_root_floor(x: int, k: int) -> int:
         return x
     if k == 2:
         return math.isqrt(x)
-    if x.bit_length() <= k:
+    n = x.bit_length()
+    if n <= k:
         return 1
     # The seed exceeds x**(1/k).  From any r above the floor root s, the
     # step lands in [s, r) by AM-GM, and at r = s it does not decrease, so
-    # the descent stops exactly on s.
-    r = 1 << -(-x.bit_length() // k)
+    # the descent stops exactly on s.  Above _DOUBLING_BITS the seed is the
+    # root r0 of x's top bits, x >> (k*h), plus one, shifted back: s lies in
+    # [r0 << h, (r0 + 1) << h), and with r0 about half of s's bits one
+    # step lands within a few units of s, so few steps run at x's precision.
+    if n > _DOUBLING_BITS and (h := (n // k - k.bit_length()) // 2) > 0:
+        r = (ikth_root_floor(x >> (k * h), k) + 1) << h
+    else:
+        r = 1 << -(-n // k)
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
         if nr >= r:

@@ -5,11 +5,13 @@ only through a mod q and the interval position, so the search sweeps residues
 r in [0, q) plus an optional window of whole-step shifts s, i.e.
 a = r + s*q with s in [-a_window, a_window].  A q is first bounded by the
 most roots any class mod q has, from one sieve that factors no q
-(modroots.max_root_counts), and a q whose largest class cannot reach the
-best count is skipped, neither tabled nor walked.  Each other q's cells are
-counted by counting._power_classes, from one shared walk of t**k or, where
-that walk would be longer than q, from one table of x**k mod q; neither
-lifts a root or combines roots by the CRT.
+(modroots.max_root_counts), times the most t one root can have in a window
+that the q = 1 and q = q_max hulls bound, so no root of q's own is taken;
+a q whose largest class cannot reach the best count, by that bound or then
+by its own window, is skipped, neither tabled nor walked.  Each other q's
+cells are counted by counting._power_classes, from one shared walk of t**k
+or, where that walk would be longer than q, from one table of x**k mod q;
+neither lifts a root or combines roots by the CRT.
 """
 from __future__ import annotations
 
@@ -70,7 +72,11 @@ def extremal_search(k: int, N: int, q_max: int, a_window: int = 0,
     max_root_counts(k, q_max), bounds every q and factors none) times the
     most t one member has in [A, B] is below the best is skipped: it is
     neither tabled nor walked, so its table is never refused by the walk
-    budget, and its cells cannot reach or tie the best.  cells_evaluated
+    budget, and its cells cannot reach or tie the best.  That test first
+    runs on a wider window, with no root of q's own: the hull's ends,
+    q(1 - a_window) and q(1 + a_window + N) - 1, are monotone in q, so
+    every [A, B] lies in [min(A_1, A_qmax), B_qmax], from the windows of
+    the q = 1 and q = q_max hulls.  cells_evaluated
     is the grid's size.  Exceeds the cell budget -> CellBudgetError before
     the sieve or any evaluation.  ``threads`` is accepted and ignored.
     """
@@ -83,9 +89,18 @@ def extremal_search(k: int, N: int, q_max: int, a_window: int = 0,
         raise CellBudgetError(
             f"search would evaluate {total} cells, budget is {cell_budget}")
     bounds = max_root_counts(k, q_max)
+    # the hull's ends are monotone in q, so every q's window [A, B] lies in
+    # [min(A_1, A_qmax), B_qmax], the ends of the q = 1 and q_max windows
+    A1, _ = counting.kth_power_t_window(k, 1 - a_window, a_window + N)
+    Am, Bm = counting.kth_power_t_window(k, q_max * (1 - a_window),
+                                         q_max * (1 + a_window + N) - 1)
+    span = Bm - min(A1, Am)
     best = -1
     cells: list[tuple[int, int]] = []
     for q in range(1, q_max + 1):
+        # span // q + 1 >= most below, so this skips a q with no root taken
+        if bounds[q] * (span // q + 1) < best:
+            continue
         A, B = counting.kth_power_t_window(k, q - a_window * q,
                                            q - 1 + a_window * q + N * q)
         # no member has more than `most` t in [A, B] (one, on a walk; none,

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 
 import pytest
@@ -257,6 +258,21 @@ class TestRoots:
         for y in (max(r ** k + delta, 0), x):
             s = ikth_root_floor(y, k)
             assert s ** k <= y < (s + 1) ** k
+
+    @pytest.mark.parametrize("k", [3, 5, 20])
+    def test_precision_doubling_up_to_a_million_bits(self, k):
+        # above _DOUBLING_BITS the descent starts from the root of x's top
+        # bits; next to an exact kth power r**k of up to 10**6 bits, the
+        # root is r - 1, r and r
+        for bits in (intkernel._DOUBLING_BITS + 1, 10 ** 4, 10 ** 5,
+                     10 ** 6):
+            root_bits = bits // k
+            r = random.Random(bits).getrandbits(root_bits) | 1 << root_bits - 1
+            for delta in (-1, 0, 1):
+                x = r ** k + delta
+                s = ikth_root_floor(x, k)
+                assert s == (r - 1 if delta < 0 else r), (k, bits, delta)
+                assert s ** k <= x < (s + 1) ** k, (k, bits, delta)
 
     def test_huge_k_is_instant(self):
         # x below 2**k has floor root 1 without any 2**(k-1)-sized step

@@ -7,6 +7,7 @@ import pytest
 from appowers import counting, intkernel, modroots, search
 from appowers.counting import Progression, count_powers_in_ap
 from appowers.errors import CellBudgetError
+from appowers.intkernel import kth_power_t_window
 from appowers.search import extremal_search, rudin_count, rudin_progression
 from oracles import brute_report
 
@@ -136,6 +137,46 @@ class TestExtremalSearch:
                 A, B = counting.kth_power_t_window(k, 0, 1000 * q + 2 * q - 1)
                 assert (bounds[q] * ((B - A) // q + 1)
                         < rec.best_count_values), (k, q)
+
+    def test_bound_takes_no_root_for_a_skipped_q(self, monkeypatch):
+        # two windows, of the q = 1 and q = q_max hulls, bound every q's
+        # window before its own is taken, so a q that bound skips takes no
+        # root; the count includes the cells' windows
+        calls, window = [], counting.kth_power_t_window
+
+        def spy(k, lo, hi):
+            calls.append((k, lo, hi))
+            return window(k, lo, hi)
+
+        monkeypatch.setattr(counting, "kth_power_t_window", spy)
+        for k in (2, 3):
+            calls.clear()
+            extremal_search(k, 1000, 80, a_window=1)
+            assert len(calls) < 45, (k, len(calls))
+
+    @pytest.mark.parametrize("a_window", [0, 1, 2, 3])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_windows_lie_in_the_end_hulls(self, k, a_window):
+        # q's hull runs from q(1 - w) to q(1 + w + N) - 1: its top rises
+        # with q and its bottom rises (w = 0), stays 0 (w = 1) or falls
+        # (w >= 2), so the windows of the q = 1 and q = q_max hulls bound
+        # every q's window [A, B] between min(A_1, A_qmax) and B_qmax
+        w = a_window
+        for N in (1, 2, 7, 1000, 10 ** 12):
+            for q_max in (1, 2, 40):
+                A1, _ = kth_power_t_window(k, 1 - w, w + N)
+                Am, Bm = kth_power_t_window(k, q_max * (1 - w),
+                                            q_max * (1 + w + N) - 1)
+                for q in range(1, q_max + 1):
+                    A, B = kth_power_t_window(k, q * (1 - w),
+                                              q * (1 + w + N) - 1)
+                    assert min(A1, Am) <= A and B <= Bm, (N, q_max, q)
+                if q_max == 40:
+                    # A follows the hull's bottom: it rises for w = 0, and
+                    # for odd k it falls for w >= 2, so A_1 is not the least
+                    assert Am > A1 if w == 0 else Am <= A1, N
+                    if w >= 2 and k % 2:
+                        assert Am < A1, N
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_table_needs_no_roots(self, monkeypatch, k):
