@@ -200,17 +200,12 @@ def max_root_counts(k: int, n: int) -> list[int]:
     maximum over a of root_count(a, k, m)), for k >= 1; entry 0 is 0.  One
     sieve builds the list and factors no m: each prime power p**e <= n
     multiplies its own count into the multiples of p**e that p**(e+1) does
-    not divide, since the count is multiplicative.  A prime's own count is
-    read directly, as gcd(k, p - 1) (1 for p = 2), a fast path."""
+    not divide, since the count is multiplicative."""
     counts = [0] + [1] * n
     for p in _prime_table(n + 1):
         pe, e = p, 1
         while pe <= n:
-            if e == 1:  # a fast path: the kth roots of 1 mod p
-                most = math.gcd(k, p - 1)
-            else:
-                most = _max_root_count_mod_prime_power(k, p, e)
-            nxt = pe * p
+            most, nxt = _max_root_count_mod_prime_power(k, p, e), pe * p
             if most > 1:
                 for m in range(pe, n + 1, pe):
                     if m % nxt:

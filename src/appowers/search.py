@@ -90,7 +90,8 @@ def extremal_search(k: int, N: int, q_max: int, a_window: int = 0,
             f"search would evaluate {total} cells, budget is {cell_budget}")
     bounds = max_root_counts(k, q_max)
     # the hull's ends are monotone in q, so every q's window [A, B] lies in
-    # [min(A_1, A_qmax), B_qmax], the ends of the q = 1 and q_max windows
+    # [min(A_1, A_qmax), B_qmax], the ends of the q = 1 and q_max windows;
+    # the loop takes q = 1's window again, and q_max's if it is not skipped
     A1, _ = counting.kth_power_t_window(k, 1 - a_window, a_window + N)
     Am, Bm = counting.kth_power_t_window(k, q_max * (1 - a_window),
                                          q_max * (1 + a_window + N) - 1)

@@ -263,13 +263,15 @@ class TestRoots:
     def test_precision_doubling_up_to_a_million_bits(self, k):
         # above _DOUBLING_BITS the descent starts from the root of x's top
         # bits; next to an exact kth power r**k of up to 10**6 bits, the
-        # root is r - 1, r and r
-        for bits in (intkernel._DOUBLING_BITS + 1, 10 ** 4, 10 ** 5,
+        # root is r - 1, r and r.  The first r has (D + 2k) // k > D/k + 1
+        # bits, so even r**k - 1 is above D = _DOUBLING_BITS bits.
+        for bits in (intkernel._DOUBLING_BITS + 2 * k, 10 ** 4, 10 ** 5,
                      10 ** 6):
             root_bits = bits // k
             r = random.Random(bits).getrandbits(root_bits) | 1 << root_bits - 1
             for delta in (-1, 0, 1):
                 x = r ** k + delta
+                assert x.bit_length() > intkernel._DOUBLING_BITS
                 s = ikth_root_floor(x, k)
                 assert s == (r - 1 if delta < 0 else r), (k, bits, delta)
                 assert s ** k <= x < (s + 1) ** k, (k, bits, delta)
