@@ -33,17 +33,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _int(text: str) -> int:
-    """Arbitrary-precision integer; scientific notation is rejected."""
+def _int_set(text: str) -> list[int]:
     try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-
-
-def _int_set(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
@@ -58,28 +50,31 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default="json")
 
+    def add_cell(p):
+        which = p.add_mutually_exclusive_group(required=True)
+        which.add_argument("--k", type=int)
+        which.add_argument("--poly", type=parse_poly, help='coefficients '
+                           '"c0,c1,...,ck", lowest degree first; write '
+                           '--poly=-1,0,-1 when c0 is negative')
+        for flag in ("--a", "--q", "--N"):
+            p.add_argument(flag, type=int, required=True)
+
     p = sub.add_parser("count", help="count kth powers or polynomial values")
-    p.add_argument("--k", type=_int)
-    p.add_argument("--poly", type=parse_poly,
-                   help='coefficients "c0,c1,...,ck", lowest degree first; '
-                        'write --poly=-1,0,-1 when c0 is negative')
-    p.add_argument("--a", type=_int, required=True)
-    p.add_argument("--q", type=_int, required=True)
-    p.add_argument("--N", type=_int, required=True)
+    add_cell(p)
     p.add_argument("--solutions", action="store_true")
     p.add_argument("--algorithm", choices=("interval", "residue", "auto"),
                    default="auto")
     add_common(p)
 
     p = sub.add_parser("roots", help="solve x^k = a (mod m)")
-    p.add_argument("--a", type=_int, required=True)
-    p.add_argument("--k", type=_int, required=True)
-    p.add_argument("--mod", type=_int, required=True)
+    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--mod", type=int, required=True)
     add_common(p)
 
     p = sub.add_parser("verify", help="sweep a grid checking the upper bound")
     p.add_argument("--k-set", type=_int_set, required=True)
-    p.add_argument("--q-max", type=_int, required=True)
+    p.add_argument("--q-max", type=int, required=True)
     p.add_argument("--a-mode", choices=("window", "residues"),
                    default="window")
     p.add_argument("--N-set", type=_int_set, required=True)
@@ -88,35 +83,25 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("witness", help="extract a divisor-splitting witness")
-    p.add_argument("--k", type=_int)
-    p.add_argument("--poly", type=parse_poly)
-    p.add_argument("--a", type=_int, required=True)
-    p.add_argument("--q", type=_int, required=True)
-    p.add_argument("--N", type=_int, required=True)
-    p.add_argument("--t", type=_int, required=True)
-    p.add_argument("--t0", type=_int, required=True)
+    add_cell(p)
+    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t0", type=int, required=True)
     add_common(p)
 
     p = sub.add_parser("search", help="extremal search / refined-progression check")
     ssub = p.add_subparsers(dest="search_command", required=True)
     pe = ssub.add_parser("extremal")
-    pe.add_argument("--k", type=_int, required=True)
-    pe.add_argument("--N", type=_int, required=True)
-    pe.add_argument("--q-max", type=_int, required=True)
-    pe.add_argument("--a-window", type=_int, default=0)
-    pe.add_argument("--budget", type=_int, default=DEFAULT_CELL_BUDGET)
+    pe.add_argument("--k", type=int, required=True)
+    pe.add_argument("--N", type=int, required=True)
+    pe.add_argument("--q-max", type=int, required=True)
+    pe.add_argument("--a-window", type=int, default=0)
+    pe.add_argument("--budget", type=int, default=DEFAULT_CELL_BUDGET)
     add_common(pe)
     pr = ssub.add_parser("rudin")
-    pr.add_argument("--N", type=_int, required=True)
+    pr.add_argument("--N", type=int, required=True)
     pr.add_argument("--solutions", action="store_true")
     add_common(pr)
     return parser
-
-
-def _resolve_poly(args) -> Poly:
-    if (args.k is None) == (args.poly is None):
-        raise ValueError("exactly one of --k and --poly is required")
-    return args.poly if args.poly is not None else Poly.monomial(args.k)
 
 
 def _report_payload(rep: CountReport) -> dict:
@@ -129,11 +114,11 @@ def _report_payload(rep: CountReport) -> dict:
 def _run_count(args) -> dict:
     prog = Progression(args.a, args.q, args.N)
     opts = {"with_solutions": args.solutions, "algorithm": args.algorithm}
-    if args.k is not None and args.poly is None:
-        # not through _resolve_poly: a dense t**k would hold k+1 coefficients
+    if args.poly is None:
+        # not through Poly.monomial: a dense t**k would hold k+1 coefficients
         rep = count_powers_in_ap(args.k, prog, **opts)
     else:
-        rep = count_poly_in_ap(_resolve_poly(args), prog, **opts)
+        rep = count_poly_in_ap(args.poly, prog, **opts)
     return _report_payload(rep)
 
 
@@ -160,7 +145,7 @@ def _run_verify(args) -> dict:
 
 
 def _run_witness(args) -> dict:
-    P = _resolve_poly(args)
+    P = Poly.monomial(args.k) if args.poly is None else args.poly
     prog = Progression(args.a, args.q, args.N)
     w = extract_witness(P, prog, args.t, args.t0)
     return {
@@ -238,9 +223,6 @@ def main(argv=None) -> int:
               if key not in ("command", "search_command", "format")}
     if "poly" in params and params["poly"] is not None:
         params["poly"] = list(params["poly"].coeffs)
-    for key in ("k_set", "N_set"):
-        if key in params:
-            params[key] = list(params[key])
     start = time.perf_counter()
     try:
         result = _RUNNERS[args.command](args)

@@ -11,10 +11,7 @@ count_power_cells and search.extremal_search count every cell of one (k, q)
 through _power_classes, which bins the kth powers of the hull's window by
 class mod q: from one interval walk where the caller's limit allows it, and
 elsewhere from one table of x**k mod q for x in [0, q), which lists the
-roots of every class at once without factoring q.  The search bounds each
-q's largest class beforehand from one sieve (modroots.max_root_counts),
-which factors no q, and skips a q, untabled, whose bound cannot reach its
-best count.
+roots of every class at once without factoring q.
 """
 from __future__ import annotations
 

@@ -220,16 +220,11 @@ def kth_roots_mod_prime_power(a: int, k: int, p: int,
 
     More than ROOT_BUDGET roots raise CellBudgetError before they are listed.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if e < 1:
         raise ValueError(f"e must be >= 1, got {e}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    pe = p ** e
-    ys, step = _roots_mod_cached(a % pe, k, p, e)
-    _check_root_count(len(ys) * (pe // step))
-    return tuple(y + j for j in range(0, pe, step) for y in ys)
+    return kth_roots_mod(a, k, p ** e)  # factorize(p**e) is ((p, e),)
 
 
 def kth_roots_mod(a: int, k: int, m: int) -> tuple[int, ...]:

@@ -109,10 +109,13 @@ class TestCount:
          "--algorithm", "residue"),
         # a constant P has no preimage to walk
         ("count", "--poly", "5", "--a", "1", "--q", "2", "--N", "5"),
+        ("count", "--k", "2", "--a", "1", "--q", "2.5", "--N", "5"),
+        ("count", "--k", "2", "--a", "x", "--q", "2", "--N", "5"),
     ])
     def test_input_errors_exit_1(self, capsys, argv):
-        code, _, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 1
+        assert out == ""
 
     def test_huge_k_needs_no_dense_monomial(self, capsys):
         # t in [-1, 1]: only t**k for three t, never k + 1 coefficients
@@ -357,6 +360,29 @@ class TestWitness:
                              "--q", "24", "--N", "5", "--t", "4", "--t0", "1")
         assert code == 1
 
+    def test_poly(self, capsys):
+        # P(t) = 2t^2 + 1 on 1 + 2i: P(3) = 19 is term 9, P(1) = 3 is term 1,
+        # and Q(t) = (P(t) - P(1)) / (t - 1) = 2(t + 1) is 8 at t = 3
+        env = run_json(capsys, "witness", "--poly", "1,0,2", "--a", "1",
+                       "--q", "2", "--N", "50", "--t", "3", "--t0", "1")
+        r = env["result"]
+        assert (r["q1"], r["q2"], r["n1"], r["n2"], r["i"], r["i0"]) == \
+            (2, 1, 1, 8, 9, 1)
+        assert all(r["checks"].values())
+
+    @pytest.mark.parametrize("which,t,message", [
+        ((), "3", "one of the arguments --k --poly is required"),
+        (("--k", "2", "--poly", "0,0,1"), "3",
+         "argument --poly: not allowed with argument --k"),
+        (("--k", "2"), "1e3", "argument --t: invalid int value: '1e3'"),
+    ])
+    def test_input_errors_exit_1(self, capsys, which, t, message):
+        code, out, err = run_cli(capsys, "witness", *which, "--a", "1",
+                                 "--q", "2", "--N", "50", "--t", t,
+                                 "--t0", "1")
+        assert code == 1 and out == ""
+        assert err == f"appowers witness: error: {message}\n"
+
 
 class TestSearch:
     def test_rudin_million(self, capsys):
@@ -378,6 +404,22 @@ class TestSearch:
             code, out, _ = run_cli(capsys, "search", "extremal", "--k", "2",
                                    *argv)
             assert code == 1 and out == ""
+
+
+@pytest.mark.parametrize("argv,flag,value", [
+    (("verify", "--k-set", "2", "--N-set", "10"), "--q-max", "2.5"),
+    (("search", "extremal", "--k", "2", "--N", "5", "--q-max", "30"),
+     "--budget", "1e3"),
+    (("search", "extremal", "--k", "2", "--N", "5", "--q-max", "30"),
+     "--a-window", "x"),
+    (("search", "rudin"), "--N", "1e6"),
+    (("roots", "--a", "1", "--k", "2"), "--mod", "x"),
+])
+def test_non_integer_flag_exit_1(capsys, argv, flag, value):
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    assert code == 1 and out == ""
+    assert err.endswith(f"error: argument {flag}: invalid int value: "
+                        f"'{value}'\n")
 
 
 class TestFormatsAndDeterminism:
