@@ -73,14 +73,18 @@ def difference_quotient(P: Poly, t0: int) -> Poly:
     """
     if P.degree < 1:
         raise ValueError("difference_quotient requires degree >= 1")
-    row = []
-    acc = 0
-    for c in reversed(P.coeffs):
-        acc = acc * t0 + c
-        row.append(acc)
-    # row is the synthetic-division tableau top-down; last entry is P(t0).
-    # Its first entry is P's nonzero leading coefficient, so Q is trimmed.
+    row = _synthetic_division(reversed(P.coeffs), t0)
+    # row's first entry is P's nonzero leading coefficient, so Q is trimmed.
     return Poly._trimmed(tuple(reversed(row[:-1])))
+
+
+def _synthetic_division(high, t0: int) -> list[int]:
+    """The synthetic-division tableau of P at t0, for P's coefficients high,
+    highest degree first: Horner's partial sums, so the last entry is P(t0)
+    and the others are the coefficients of the difference quotient Q,
+    highest first."""
+    acc = 0
+    return [acc := acc * t0 + c for c in high]
 
 
 def _root_bound(coeffs: tuple[int, ...], shift: int) -> int:

@@ -9,6 +9,7 @@ bug, never a property of the input.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from .counting import Progression, count_power_cells, count_powers_in_ap
 from .errors import (BoundViolationError, CellBudgetError,
                      InternalInvariantError)
 from .intkernel import divisor_count, ikth_root_ceil
-from .poly import Poly, difference_quotient
+from .poly import Poly, _synthetic_division, difference_quotient
 from .search import DEFAULT_CELL_BUDGET
 
 __all__ = [
@@ -122,22 +123,26 @@ def _check_witnesses(P: Poly, prog: Progression,
     through _split, as extract_witness would: one call per t0, with all the
     t < t0 as its partners.
 
-    Every (t, i) is checked against P and prog, and the t must increase
-    strictly.  A pair's certificate depends only on (P, q, t, t0), and each
-    t lies in one class a mod q, so certifying each class's list once
-    certifies each pair once.
+    Each solution costs one synthetic division of P at t0
+    (poly._synthetic_division): its last entry is P(t0), which must be term
+    i0 of prog, and the others are the difference quotient that _split
+    takes.  The t must increase strictly, and a solution is checked before
+    any _split call names it.  A pair's certificate depends only on
+    (P, q, t, t0), and each t lies in one class a mod q, so certifying each
+    class's list once certifies each pair once.
     """
-    for t, i in sols:
-        if prog.index_of(P(t)) != i:
+    high = P.coeffs[::-1]
+    a, q, N = prog.a, prog.q, prog.N
+    for j, (t0, i0) in enumerate(sols):
+        Q = _synthetic_division(high, t0)
+        if Q.pop() != a + i0 * q or not 1 <= i0 <= N:
             raise InternalInvariantError(
-                f"P({t}) is not term {i} of {prog}")
-    if any(t >= u for (t, _), (u, _) in zip(sols, sols[1:])):
-        raise InternalInvariantError(
-            f"solutions of {prog} are not strictly increasing in t")
-    for j in range(1, len(sols)):
-        t0, i0 = sols[j]
-        _split(difference_quotient(P, t0).coeffs[::-1], prog.q, prog.N, t0,
-               i0, sols[:j])
+                f"P({t0}) is not term {i0} of {prog}")
+        if j:
+            if sols[j - 1][0] >= t0:
+                raise InternalInvariantError(
+                    f"solutions of {prog} are not strictly increasing in t")
+            _split(Q, q, N, t0, i0, sols[:j])
 
 
 @dataclass
@@ -210,13 +215,14 @@ def _sweep_task(report: SweepReport, k: int, q: int) -> None:
     least a, then the least N.  The second pass witnesses the cells with
     2 <= count_t <= WITNESS_PAIR_CAP, one class a mod q at a time: one
     solution list covers the hull of the class's witnessed cells, and
-    _check_witnesses certifies every pair of it; each such cell then checks
-    that the list has count_t solutions with index in its own [1, N], which
-    holds the first pass's count against a listing made apart from it.  The
-    hull of a class's witnessed cells is at most two terms longer than the
-    longest of them, because in window mode the cells of a class start
-    within 2q of each other, so a large cell that is not witnessed is never
-    listed.
+    _check_witnesses certifies every pair of it, from one synthetic division
+    per solution; each such cell then checks that the list has count_t
+    solutions with index in its own [1, N], by two bisections of the list's
+    sorted indices, which holds the first pass's count against a listing
+    made apart from it.  The hull of a class's witnessed cells is at most
+    two terms longer than the longest of them, because in window mode the
+    cells of a class start within 2q of each other, so a large cell that is
+    not witnessed is never listed.
     """
     dk = divisor_count(q) ** (k - 1)
     roots = {N: ikth_root_ceil(N, k) for N in report.N_set}
@@ -265,9 +271,11 @@ def _sweep_task(report: SweepReport, k: int, q: int) -> None:
         hull = Progression(a0, q, (hi - a0) // q)
         sols = count_powers_in_ap(k, hull, with_solutions=True).solutions
         _check_witnesses(P, hull, sols)
+        index = sorted(i for _, i in sols)
         for prog, count_t in cells:
             shift = (prog.a - a0) // q
-            n = sum(shift < i <= shift + prog.N for _, i in sols)
+            n = (bisect_right(index, shift + prog.N)
+                 - bisect_right(index, shift))
             if n != count_t:
                 raise InternalInvariantError(
                     f"{n} solutions of {prog} in the list of its class, "

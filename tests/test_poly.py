@@ -65,6 +65,20 @@ class TestDifferenceQuotient:
         assert Q.degree == P.degree - 1
         assert P(t) - P(t0) == (t - t0) * Q(t)
 
+    @given(st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+                    min_size=2, max_size=7).filter(lambda c: c[-1] != 0),
+           st.integers(min_value=-10 ** 6, max_value=10 ** 6))
+    @settings(max_examples=300)
+    def test_synthetic_division(self, coeffs, t0):
+        # the one tableau both difference_quotient and the sweep's witness
+        # check read: P(t0) last, Q's coefficients highest first before it
+        P = Poly(tuple(coeffs))
+        row = poly._synthetic_division(reversed(P.coeffs), t0)
+        assert row[-1] == P(t0) == sum(c * t0 ** i for i, c in enumerate(coeffs))
+        assert tuple(row[:-1]) == difference_quotient(P, t0).coeffs[::-1]
+        Q = Poly(tuple(reversed(row[:-1])))
+        assert P(t0 + 1) - P(t0) == Q(t0 + 1)
+
 
 def flatten(segments):
     return [t for A, B in segments for t in range(A, B + 1)]

@@ -174,15 +174,17 @@ class TestSweep:
                 if 2 <= row[4] <= theorem.WITNESS_PAIR_CAP)
 
     def test_one_difference_quotient_per_t0(self, monkeypatch):
-        calls = 0
-        real = theorem.difference_quotient
+        calls = []
+        real_split = theorem._split
 
-        def counting(P, t0):
-            nonlocal calls
-            calls += 1
-            return real(P, t0)
+        def spy(Q, q, N, t0, i0, partners):
+            # len(Q) == k for t**k
+            calls.append((len(Q), q, t0))
+            assert tuple(Q) == difference_quotient(
+                Poly.monomial(len(Q)), t0).coeffs[::-1]
+            return real_split(Q, q, N, t0, i0, partners)
 
-        monkeypatch.setattr(theorem, "difference_quotient", counting)
+        monkeypatch.setattr(theorem, "_split", spy)
         rep = verify_bound_sweep([2, 3], 10, [10, 100], collect_rows=True)
         # one per (k, q, t0) with t0 the larger t of a pair in some
         # witnessed cell, that is every solution of such a cell but its least
@@ -192,9 +194,10 @@ class TestSweep:
                 sols = count_powers_in_ap(k, Progression(a, q, N),
                                           with_solutions=True).solutions
                 t0s.update((k, q, t0) for t0, _ in sols[1:])
-        assert calls == len(t0s) == 464
-        assert calls < sum(row[4] - 1 for row in rep.rows
-                           if 2 <= row[4] <= theorem.WITNESS_PAIR_CAP)
+        assert len(calls) == len(set(calls)) == 464
+        assert set(calls) == t0s
+        assert len(calls) < sum(row[4] - 1 for row in rep.rows
+                                if 2 <= row[4] <= theorem.WITNESS_PAIR_CAP)
 
     @pytest.mark.parametrize("a_mode", ["window", "residues"])
     def test_each_pair_certified_once(self, monkeypatch, a_mode):
@@ -253,13 +256,12 @@ class TestSweep:
         assert certified.count((24, 7, 11)) == 1
         assert certified.count((24, 5, 7)) == 1  # in both cells
 
-        real_dq = theorem.difference_quotient
+        def spoiled(Q, q, N, t0, i0, partners):
+            if t0 == 11:
+                Q = [2 * c for c in Q]
+            return real_split(Q, q, N, t0, i0, partners)
 
-        def spoiled(P, t0):
-            Q = real_dq(P, t0)
-            return Poly(tuple(2 * c for c in Q.coeffs)) if t0 == 11 else Q
-
-        monkeypatch.setattr(theorem, "difference_quotient", spoiled)
+        monkeypatch.setattr(theorem, "_split", spoiled)
         with pytest.raises(InternalInvariantError):
             sweep()
 
@@ -306,7 +308,10 @@ class TestSweep:
         lambda t, i: (t + 1, i) if t == 7 else (t, i),
         # every |i - i0| is unchanged, so only the membership check sees it
         lambda t, i: (t, i + 1),
-    ], ids=["one_index_off_by_one", "not_a_solution", "every_index_shifted"])
+        # 13**2 = -23 + 8*24 is a term of the class, but past the list's N = 6
+        lambda t, i: (13, 8) if t == 11 else (t, i),
+    ], ids=["one_index_off_by_one", "not_a_solution", "every_index_shifted",
+            "index_past_the_list"])
     def test_bad_solution_is_caught(self, monkeypatch, capsys, fault):
         spoiled_calls = self.spoil_class_list(monkeypatch, fault)
         with pytest.raises(InternalInvariantError, match=self.CLASS):
@@ -315,6 +320,26 @@ class TestSweep:
         assert main(["verify", "--k-set", "2", "--q-max", "24",
                      "--N-set", "5"]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_non_member_is_caught_before_split_names_it(self, monkeypatch):
+        # (5, 3) is sixth in the class list, after five valid solutions
+        # whose pairs may be certified first; no _split call names t = 5,
+        # as t0 or as a partner, before its membership check raises
+        named = []  # for q = 24
+        real_split = theorem._split
+
+        def spy(Q, q, N, t0, i0, partners):
+            if q == 24:
+                named.append({t0, *(t for t, _ in partners)})
+            return real_split(Q, q, N, t0, i0, partners)
+
+        monkeypatch.setattr(theorem, "_split", spy)
+        self.spoil_class_list(monkeypatch,
+                              lambda t, i: (t, 3) if t == 5 else (t, i))
+        with pytest.raises(InternalInvariantError,
+                           match=r"P\(5\) is not term 3 of " + self.CLASS):
+            verify_bound_sweep([2], 24, [5])
+        assert not any(5 in ts for ts in named)
 
     def test_repeated_solution_is_caught(self, monkeypatch):
         # every (t, i) is a member and each cell has count_t entries in its
