@@ -48,6 +48,7 @@ def _prime_table(limit: int) -> tuple[int, ...]:
 
 
 # factorize trial-divides by these; Brent-rho takes the cofactor.
+# modroots.max_root_counts takes its primes from them for n below 2**12.
 _SMALL_PRIMES = _prime_table(1 << 12)
 
 

@@ -4,10 +4,11 @@ The roots are returned as a sorted tuple.  A composite modulus is split into
 its prime powers p**e, whose roots are cached, by (a mod p**e, k, p, e), as
 (ys, step): x is a root exactly when x mod step, a divisor of p**e, lies in
 the sorted ys.  root_count multiplies len(ys) * p**e / step over the parts;
-max_root_counts sieves the most roots any a has mod every m <= n;
-kth_roots_mod checks that count against ROOT_BUDGET, joins the ys by the
-CRT modulo the product M of the steps, sorts them, and adds every multiple
-of M below m.  Modulo p**e:
+max_root_counts sieves the most roots any a has mod every m <= n, by a
+closed form per prime power, which is gcd(k, p - 1) for each prime p above
+isqrt(n), whose only power <= n is p itself; kth_roots_mod checks that
+count against ROOT_BUDGET, joins the ys by the CRT modulo the product M of
+the steps, sorts them, and adds every multiple of M below m.  Modulo p**e:
 
 * a = 0: x**k = 0 exactly when p**ceil(e/k) divides x, so ys = (0,);
 * p**v exactly divides a: x = p**(v/k) * y (no roots unless k | v), with y a
@@ -24,10 +25,11 @@ of M below m.  Modulo p**e:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
 
 from .errors import CellBudgetError
-from .intkernel import _prime_table, factorize, is_prime
+from .intkernel import _SMALL_PRIMES, _prime_table, factorize, is_prime
 
 __all__ = ["kth_roots_mod_prime_power", "kth_roots_mod", "root_count",
            "max_root_counts"]
@@ -163,6 +165,8 @@ def _roots_mod_cached(a: int, k: int, p: int, e: int) -> tuple[tuple, int]:
 
 def root_count(a: int, k: int, m: int) -> int:
     """The number of x in [0, m) with x**k = a (mod m), for m, k >= 1."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     count = 1
     for p, e in factorize(m):
         pe = p ** e
@@ -180,7 +184,8 @@ def _max_root_count_mod_prime_power(k: int, p: int, e: int) -> int:
     none unless k | v, and then p**(v - v/k) for each unit root of
     y**k = u (mod p**(e-v)).  Those are 0 or as many as the kth roots of 1,
     U of them: the unit group mod p**j is cyclic of order (p-1) p**(j-1)
-    for odd p, and C2 x C(2**(j-2)) for p = 2 and j >= 3.
+    for odd p, and C2 x C(2**(j-2)) for p = 2 and j >= 3.  At e = 1 this
+    is gcd(k, p - 1) for every p, p = 2 included, as max_root_counts uses.
     """
     most = p ** (e - (e + k - 1) // k)  # the roots of a = 0
     for v in range(0, e, k):
@@ -197,12 +202,21 @@ def _max_root_count_mod_prime_power(k: int, p: int, e: int) -> int:
 
 def max_root_counts(k: int, n: int) -> list[int]:
     """Entry m <= n is the most x in [0, m) that share one x**k mod m (the
-    maximum over a of root_count(a, k, m)), for k >= 1; entry 0 is 0.  One
-    sieve builds the list and factors no m: each prime power p**e <= n
-    multiplies its own count into the multiples of p**e that p**(e+1) does
-    not divide, since the count is multiplicative."""
+    maximum over a of root_count(a, k, m)), for k >= 1 and n >= 0; entry 0
+    is 0.  One sieve builds the list and factors no m: each prime power
+    p**e <= n multiplies its own count into the multiples of p**e that
+    p**(e+1) does not divide, since the count is multiplicative.  A prime
+    p > isqrt(n) is its only power <= n, so it multiplies every multiple
+    of p by gcd(k, p - 1), its count at e = 1.  The primes are a prefix of
+    intkernel's import-time table for n below 2**12, and sieved otherwise."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     counts = [0] + [1] * n
-    for p in _prime_table(n + 1):
+    primes = _SMALL_PRIMES if n < 1 << 12 else _prime_table(n + 1)
+    small = bisect_right(primes, math.isqrt(n))
+    for p in primes[:small]:
         pe, e = p, 1
         while pe <= n:
             most, nxt = _max_root_count_mod_prime_power(k, p, e), pe * p
@@ -211,6 +225,11 @@ def max_root_counts(k: int, n: int) -> list[int]:
                     if m % nxt:
                         counts[m] *= most
             pe, e = nxt, e + 1
+    for p in primes[small:bisect_right(primes, n)]:
+        most = math.gcd(k, p - 1)
+        if most > 1:
+            for m in range(p, n + 1, p):
+                counts[m] *= most
     return counts
 
 

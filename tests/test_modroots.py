@@ -224,6 +224,11 @@ class TestRootCountBound:
         assert kth_roots_mod(2 ** 41, 2, 3 * 2 ** 40) == ()
         assert modroots.root_count(2 ** 41, 2, 3 * 2 ** 40) == 0
 
+    @pytest.mark.parametrize("a,k,m", [(1, -2, 5), (0, 0, 5)])
+    def test_rejects_k_below_1(self, a, k, m):
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            modroots.root_count(a, k, m)
+
 
 class TestMaxRootCount:
     """max_root_counts, one sieve over the prime powers up to n, lists the
@@ -257,6 +262,37 @@ class TestMaxRootCount:
             counts = max_root_counts(k, n)
             assert len(counts) == n + 1
             assert counts == longest[:n + 1], (k, n)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_across_the_prime_table(self, k):
+        # intkernel._SMALL_PRIMES holds the primes below 2**12; from
+        # n = 2**12 on, the sieve takes its primes from _prime_table
+        longest = max_root_counts(k, 6000)
+        for n in (4095, 4096, 4097, 5000):
+            assert max_root_counts(k, n) == longest[:n + 1], (k, n)
+        # 4093 is the table's last prime, 4099 the first past it, 4913 =
+        # 17**3, and 4097 = 17 * 241, 4104 = 2**3 * 3**3 * 19, 4608 =
+        # 2**9 * 3**2, 4900 = 2**2 * 5**2 * 7**2 and 5005 = 5 * 7 * 11 * 13
+        for m in (4093, 4096, 4097, 4099, 4104, 4608, 4900, 4913, 5005):
+            assert longest[m] == max_class_size(k, m), (k, m)
+
+    def test_count_mod_a_prime(self):
+        # a prime above isqrt(n) multiplies its multiples by gcd(k, p - 1)
+        # instead of calling the general closed form at e = 1
+        for p in range(2, 10 ** 4):
+            if is_prime(p):
+                for k in range(1, 13):
+                    assert (modroots._max_root_count_mod_prime_power(k, p, 1)
+                            == math.gcd(k, p - 1)), (k, p)
+
+    @pytest.mark.parametrize("k,n,match", [
+        (0, 10, "k must be >= 1, got 0"),
+        (-1, 10, "k must be >= 1, got -1"),
+        (2, -1, "n must be >= 0, got -1"),
+    ])
+    def test_rejects_bad_args(self, k, n, match):
+        with pytest.raises(ValueError, match=match):
+            max_root_counts(k, n)
 
 
 class TestRootClasses:

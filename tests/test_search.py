@@ -244,6 +244,20 @@ class TestExtremalSearch:
                           separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("k,best,cells", [
+        (2, 50, tuple((24 * j * j, j * j) for j in range(1, 15))),
+        (3, 10, tuple((j ** 3, 0) for j in range(1, 18))),
+    ])
+    def test_output_pinned_past_the_prime_table(self, k, best, cells):
+        # q_max = 5000 is past intkernel._SMALL_PRIMES (the primes below
+        # 2**12), so the sieve takes its primes from _prime_table; recorded
+        # while the sieve called the general closed form for every prime
+        rec = extremal_search(k, 1000, 5000, a_window=0,
+                              cell_budget=20_000_000)
+        assert rec.best_count_values == best
+        assert rec.best_cells == cells
+        assert rec.cells_evaluated == 5000 * 5001 // 2
+
     def test_budget(self, monkeypatch):
         def no_cell(*args, **kwargs):
             raise AssertionError("a cell or the sieve ran before the "
