@@ -127,6 +127,10 @@ def _run_roots(args) -> dict:
             "residues": list(kth_roots_mod(args.a, args.k, args.mod))}
 
 
+def _write_csv(fh, header, rows) -> None:
+    _csv.writer(fh).writerows([header, *rows])
+
+
 def _run_verify(args) -> dict:
     collect = bool(args.csv) or args.format == "csv"
     # Open the CSV before the sweep, so an unwritable path fails at once.
@@ -135,9 +139,7 @@ def _run_verify(args) -> dict:
         report = verify_bound_sweep(args.k_set, args.q_max, args.N_set,
                                     a_mode=args.a_mode, collect_rows=collect)
         if fh is not None:
-            w = _csv.writer(fh)
-            w.writerow(CSV_COLUMNS)
-            w.writerows(report.rows)
+            _write_csv(fh, CSV_COLUMNS, report.rows)
     payload = report.to_jsonable()
     if args.format == "csv":
         payload["rows"] = report.rows
@@ -189,24 +191,19 @@ def _flatten(prefix: str, value, out: dict) -> None:
 def _emit(envelope: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(envelope, sort_keys=True)
-    if fmt == "csv":
-        rows = envelope["result"].pop("rows", None)
-        buf = io.StringIO()
-        w = _csv.writer(buf)
-        if rows is not None:  # per-cell output for verify
-            w.writerow(CSV_COLUMNS)
-            w.writerows(rows)
-        else:
-            flat: dict = {}
-            _flatten("", envelope, flat)
-            keys = sorted(flat)
-            w.writerow(keys)
-            w.writerow([json.dumps(flat[k]) if isinstance(flat[k], list)
-                        else flat[k] for k in keys])
-        return buf.getvalue().rstrip("\n")
-    flat = {}
+    rows = envelope["result"].pop("rows", None)  # verify's, for csv only
+    flat: dict = {}
     _flatten("", envelope, flat)
-    return "\n".join(f"{key} = {flat[key]}" for key in sorted(flat))
+    keys = sorted(flat)
+    if fmt == "text":
+        return "\n".join(f"{key} = {flat[key]}" for key in keys)
+    buf = io.StringIO()
+    if rows is not None:  # per-cell output for verify
+        _write_csv(buf, CSV_COLUMNS, rows)
+    else:
+        _write_csv(buf, keys, [[json.dumps(flat[k]) if isinstance(flat[k], list)
+                                else flat[k] for k in keys]])
+    return buf.getvalue().rstrip("\n")
 
 
 def main(argv=None) -> int:

@@ -3,12 +3,13 @@
 The roots are returned as a sorted tuple.  A composite modulus is split into
 its prime powers p**e, whose roots are cached, by (a mod p**e, k, p, e), as
 (ys, step): x is a root exactly when x mod step, a divisor of p**e, lies in
-the sorted ys.  root_count multiplies len(ys) * p**e / step over the parts;
-max_root_counts sieves the most roots any a has mod every m <= n, by a
-closed form per prime power, which is gcd(k, p - 1) for each prime p above
-isqrt(n), whose only power <= n is p itself; kth_roots_mod checks that
-count against ROOT_BUDGET, joins the ys by the CRT modulo the product M of
-the steps, sorts them, and adds every multiple of M below m.  Modulo p**e:
+the sorted ys.  _root_parts reads m's parts, and root_count returns the
+product of their len(ys) * p**e / step; max_root_counts sieves the most
+roots any a has mod every m <= n, by a closed form per prime power, which
+is gcd(k, p - 1) for each prime p above isqrt(n), whose only power <= n is
+p itself; kth_roots_mod checks that count against ROOT_BUDGET, joins the
+ys by the CRT modulo the product M of the steps, sorts them, and adds
+every multiple of M below m.  Modulo p**e:
 
 * a = 0: x**k = 0 exactly when p**ceil(e/k) divides x, so ys = (0,);
 * p**v exactly divides a: x = p**(v/k) * y (no roots unless k | v), with y a
@@ -163,18 +164,25 @@ def _roots_mod_cached(a: int, k: int, p: int, e: int) -> tuple[tuple, int]:
             p ** (e - v) * scale)
 
 
-def root_count(a: int, k: int, m: int) -> int:
-    """The number of x in [0, m) with x**k = a (mod m), for m, k >= 1."""
+def _root_parts(a: int, k: int, m: int) -> tuple[list, int]:
+    """The parts (ys, step) of x**k = a (mod m), one per prime power of m,
+    and the number of roots in [0, m); no parts and 0 if one has no root."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    count = 1
-    for p, e in factorize(m):
+    parts, count = [], 1
+    for p, e in factorize(m):  # primes already, so no primality test here
         pe = p ** e
         ys, step = _roots_mod_cached(a % pe, k, p, e)
+        if not ys:
+            return [], 0
+        parts.append((ys, step))
         count *= len(ys) * (pe // step)
-        if not count:
-            break
-    return count
+    return parts, count
+
+
+def root_count(a: int, k: int, m: int) -> int:
+    """The number of x in [0, m) with x**k = a (mod m), for m, k >= 1."""
+    return _root_parts(a, k, m)[1]
 
 
 def _max_root_count_mod_prime_power(k: int, p: int, e: int) -> int:
@@ -253,16 +261,9 @@ def kth_roots_mod(a: int, k: int, m: int) -> tuple[int, ...]:
     """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    parts, count = [], 1
-    for p, e in factorize(m):  # primes already, so no primality test here
-        pe = p ** e
-        ys, step = _roots_mod_cached(a % pe, k, p, e)
-        if not ys:
-            return ()
-        parts.append((ys, step))
-        count *= len(ys) * (pe // step)
+    parts, count = _root_parts(a, k, m)
+    if not count:
+        return ()
     _check_root_count(count)
     residues, mod = parts[0] if parts else ((0,), 1)
     for ys, step in parts[1:]:  # CRT: x = x1 (mod mod), x = x2 (mod step)

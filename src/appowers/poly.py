@@ -20,10 +20,10 @@ class Poly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        c = tuple(int(x) for x in self.coeffs)
-        while c and c[-1] == 0:
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
+        c = [int(x) for x in self.coeffs]
+        while c and c[-1] == 0:  # pop is O(1): one pass over the zeros
+            c.pop()
+        object.__setattr__(self, "coeffs", tuple(c))
 
     @property
     def degree(self) -> int:

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from appowers import counting, intkernel, kernels, modroots
+from appowers.cli import main
 from appowers.counting import (CountReport, Progression, count_poly_in_ap,
                                count_power_cells, count_powers_in_ap)
-from appowers.errors import CellBudgetError
+from appowers.errors import CellBudgetError, InternalInvariantError
 from appowers.intkernel import ikth_root_floor, is_prime, kth_power_t_window
 from appowers.poly import Poly, preimage_range
 from oracles import brute_poly_report, brute_report, classes_count
@@ -452,6 +453,23 @@ class TestSolutions:
                                 k, prog, with_solutions=True,
                                 algorithm=algorithm).solutions
                             assert got == want, (k, q, a, N, algorithm)
+
+    @pytest.mark.parametrize("algorithm", ["residue", "interval"])
+    def test_lost_solution_is_an_invariant_failure(self, monkeypatch, capsys,
+                                                   algorithm):
+        # a listing one pair short of count_t is a bug, so the CLI exits 2
+        real = counting._power_solutions
+        monkeypatch.setattr(counting, "_power_solutions",
+                            lambda *args: real(*args)[:-1])
+        with pytest.raises(InternalInvariantError,
+                           match="solution list length 5 != count_t 6"):
+            count_powers_in_ap(2, Progression(-23, 24, 5), with_solutions=True,
+                               algorithm=algorithm)
+        assert main(["count", "--k", "2", "--a", "-23", "--q", "24", "--N",
+                     "5", "--solutions", "--algorithm", algorithm]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(
+            "internal invariant failure: solution list length 5")
 
     def test_strided_listing_finds_the_roots_once(self, monkeypatch):
         # the stride's roots serve both its count and its solution list

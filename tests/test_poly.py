@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,13 @@ class TestPoly:
         assert Poly((1, 2, 0, 0)).coeffs == (1, 2)
         assert Poly(()).degree == -1
         assert Poly((0, 0)).degree == -1
+
+    def test_normalization_is_linear(self):
+        # one --poly argument can carry tens of thousands of zeros, so they
+        # must be stripped in linear time
+        start = time.perf_counter()
+        assert Poly((1,) + (0,) * 200_000).coeffs == (1,)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("coeffs,t,want", [
         ((0, 0, 1), 7, 49),            # t^2

@@ -125,6 +125,15 @@ class TestWitness:
         with pytest.raises(ValueError, match="two distinct"):
             _split(Q, 24, 5, t0, i0, sols[:1] + ((t0, i0),))
 
+    def test_split_checks_that_q2_divides_q_of_t(self):
+        # Q(t) = t + 7 at t0 = 7; the pair (1, 1) has q1 = 6 and q2 = 4, and
+        # a perturbed constant term makes Q(1) = 9
+        Q = difference_quotient(Poly.monomial(2), 7).coeffs[::-1]
+        assert Q == (1, 7) and _split(Q, 24, 5, 7, 3, [(1, 1)]) == (6, 4, 1, 2)
+        with pytest.raises(InternalInvariantError,
+                           match=r"q2=4 does not divide Q\(t\)=9 for t=1"):
+            _split((1, 8), 24, 5, 7, 3, [(1, 1)])
+
     def test_general_polynomial_witness(self):
         P = Poly((1, 0, 2))  # 2t^2 + 1
         prog = Progression(1, 2, 50)
